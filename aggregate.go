@@ -108,42 +108,19 @@ func (db *DB) AggregateLimited(ctx context.Context, cypher string, fn AggFunc, v
 	return db.aggregateGoverned(ctx, cypher, fn, variable, prop, limits)
 }
 
-// aggregateGoverned is the governed core of every Aggregate variant,
-// mirroring countGoverned.
+// aggregateGoverned is the governed core of every Aggregate variant.
 func (db *DB) aggregateGoverned(ctx context.Context, cypher string, fn AggFunc, variable, prop string, limits QueryLimits) (AggValue, Metrics, error) {
-	run, ctx, err := db.beginGoverned(ctx, limits)
+	var res exec.AggResult
+	m, err := db.governedRead(ctx, cypher, limits, func(run *governedRun, rt *exec.Runtime, opts exec.ParallelOptions) (int64, error) {
+		spec, err := aggSpecFor(run.plan, fn, variable, prop)
+		if err != nil {
+			return 0, err
+		}
+		res, err = run.plan.AggregateParallel(rt, opts, spec)
+		return res.Rows, err
+	})
 	if err != nil {
-		return AggValue{}, Metrics{}, err
-	}
-	defer run.finish()
-	run.cypher = cypher
-	s, err := db.pin()
-	if err != nil {
-		return AggValue{}, Metrics{}, err
-	}
-	defer s.Release()
-	plan, rt, err := db.planSnap(s, cypher)
-	if err != nil {
-		return AggValue{}, Metrics{}, err
-	}
-	run.plan = plan
-	spec, err := aggSpecFor(plan, fn, variable, prop)
-	if err != nil {
-		return AggValue{}, Metrics{}, err
-	}
-	rt.Gov = run.gov
-	opts := db.parallelOptions()
-	opts.InjectWorkerFault = db.injectWorkerFault
-	res, err := plan.AggregateParallel(rt, opts, spec)
-	run.rows, run.icost = res.Rows, rt.ICost
-	m := Metrics{ICost: rt.ICost, PredEvals: rt.PredEvals, EstimatedICost: plan.EstimatedICost}
-	if err != nil {
-		run.outcome = "panic"
-		return AggValue{}, m, db.recordPanic(err)
-	}
-	if run.gov != nil && run.gov.Stopped() {
-		run.outcome = run.gov.Reason().String()
-		return AggValue{}, m, db.govError(run.gov, limits, m, res.Rows)
+		return AggValue{}, m, err
 	}
 	return aggValueOf(fn, res), m, nil
 }

@@ -265,6 +265,10 @@ func TestBudgetRows(t *testing.T) {
 // to a fresh database over the same graph.
 func TestWorkerPanicIsolated(t *testing.T) {
 	db := New()
+	// Two workers over four 100-vertex morsels: the pool always starts
+	// worker 1, whatever GOMAXPROCS is, so the fault below always fires.
+	db.Parallelism = 2
+	db.MorselSize = 100
 	buildDense(t, db, 400, 8)
 	fresh := New()
 	buildDense(t, fresh, 400, 8)
@@ -274,7 +278,7 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	}
 
 	db.injectWorkerFault = func(w int) {
-		if w == db.workers()-1 {
+		if w == 1 {
 			panic("governance test fault")
 		}
 	}

@@ -178,25 +178,36 @@ type governedRun struct {
 	outcome string
 }
 
-// beginGoverned admits the query, applies the deadline, and arms the
-// governor and its context watcher. On success the caller must defer
-// run.finish(). The returned context carries the effective deadline.
-func (db *DB) beginGoverned(ctx context.Context, limits QueryLimits) (*governedRun, context.Context, error) {
+// governedRead is the one governed read path behind every Count,
+// Aggregate, ExplainAnalyze, and Query variant. It admits the query,
+// applies the deadline and arms the governor and its context watcher, pins
+// a snapshot, plans, and calls read, which runs run.plan on rt (governor
+// attached) with opts and returns the rows it produced. It then maps the
+// outcome: a recovered panic to a *QueryPanicError, a governor trip to its
+// sentinel (with the partial metrics), and any other error read returns (a
+// rejection before execution, e.g. an unresolvable aggregate variable)
+// through unchanged. Teardown (watcher, slot, pin, latency, slow-query
+// capture) runs on every exit path, including a panic re-raised by read.
+// The returned Metrics are the run's (partial on a trip; zero when nothing
+// ran).
+func (db *DB) governedRead(ctx context.Context, cypher string, limits QueryLimits,
+	read func(run *governedRun, rt *exec.Runtime, opts exec.ParallelOptions) (int64, error)) (Metrics, error) {
 	if db.closed.Load() {
-		return nil, nil, ErrClosed
+		return Metrics{}, ErrClosed
 	}
 	// A context that is already dead never admits or pins anything.
 	if err := ctx.Err(); err != nil {
-		return nil, nil, db.ctxError(ctx)
+		return Metrics{}, db.ctxError(ctx)
 	}
 	arrived := time.Now()
 	release, err := db.admit(ctx)
 	if err != nil {
-		return nil, nil, err
+		return Metrics{}, err
 	}
 	db.admissionWait.RecordSince(arrived)
-	run := &governedRun{db: db, release: release, start: time.Now()}
+	run := &governedRun{db: db, release: release, start: time.Now(), cypher: cypher}
 	db.queriesInFlight.Add(1)
+	defer run.finish()
 	timeout := limits.MaxDuration
 	if timeout <= 0 {
 		timeout = db.QueryTimeout
@@ -208,7 +219,35 @@ func (db *DB) beginGoverned(ctx context.Context, limits QueryLimits) (*governedR
 		run.gov = &exec.Governor{MaxICost: limits.MaxICost, MaxRows: limits.MaxRows}
 		run.stopW = watchContext(ctx, run.gov)
 	}
-	return run, ctx, nil
+	s, err := db.pin()
+	if err != nil {
+		return Metrics{}, err
+	}
+	defer s.Release()
+	plan, rt, err := db.planSnap(s, cypher)
+	if err != nil {
+		return Metrics{}, err
+	}
+	run.plan = plan
+	rt.Gov = run.gov
+	opts := db.parallelOptions()
+	opts.InjectWorkerFault = db.injectWorkerFault
+	rows, err := read(run, rt, opts)
+	run.rows, run.icost = rows, rt.ICost
+	m := Metrics{ICost: rt.ICost, PredEvals: rt.PredEvals, EstimatedICost: plan.EstimatedICost}
+	if err != nil {
+		var pe *exec.PanicError
+		if !errors.As(err, &pe) {
+			return Metrics{}, err
+		}
+		run.outcome = "panic"
+		return m, db.recordPanic(pe)
+	}
+	if run.gov != nil && run.gov.Stopped() {
+		run.outcome = run.gov.Reason().String()
+		return m, db.govError(run.gov, limits, m)
+	}
+	return m, nil
 }
 
 // finish tears a governed run down: reaps the context watcher, releases the
@@ -311,29 +350,25 @@ func (db *DB) ctxError(ctx context.Context) error {
 }
 
 // govError maps a tripped governor to the public error, counting it and
-// attaching the partial metrics where the contract calls for them.
-func (db *DB) govError(gov *exec.Governor, limits QueryLimits, m Metrics, rows int64) error {
+// attaching the partial metrics and rows where the contract calls for them.
+func (db *DB) govError(gov *exec.Governor, limits QueryLimits, m Metrics) error {
 	switch gov.Reason() {
 	case exec.StopTimeout:
 		db.queriesTimedOut.Add(1)
 		return fmt.Errorf("%w (partial i-cost %d)", ErrQueryTimeout, m.ICost)
 	case exec.StopICost:
-		return &BudgetError{Exceeded: "i-cost", Limits: limits, Partial: m, PartialRows: rows}
+		return &BudgetError{Exceeded: "i-cost", Limits: limits, Partial: m, PartialRows: gov.RowsSeen()}
 	case exec.StopRows:
-		return &BudgetError{Exceeded: "rows", Limits: limits, Partial: m, PartialRows: rows}
+		return &BudgetError{Exceeded: "rows", Limits: limits, Partial: m, PartialRows: gov.RowsSeen()}
 	default: // StopCanceled, or a trip with no recorded reason
 		db.queriesCanceled.Add(1)
 		return fmt.Errorf("%w (partial i-cost %d)", ErrQueryCanceled, m.ICost)
 	}
 }
 
-// recordPanic converts an exec-layer panic error into the public
+// recordPanic converts an exec-layer panic into the public
 // *QueryPanicError and records it in the governance counters.
-func (db *DB) recordPanic(err error) error {
-	var pe *exec.PanicError
-	if !errors.As(err, &pe) {
-		return err
-	}
+func (db *DB) recordPanic(pe *exec.PanicError) error {
 	db.queriesPanicked.Add(1)
 	msg := fmt.Sprintf("%v", pe.Value)
 	db.lastQueryPanic.Store(&msg)
@@ -342,35 +377,14 @@ func (db *DB) recordPanic(err error) error {
 
 // countGoverned is the governed core of every Count variant.
 func (db *DB) countGoverned(ctx context.Context, cypher string, limits QueryLimits) (int64, Metrics, error) {
-	run, ctx, err := db.beginGoverned(ctx, limits)
+	var n int64
+	m, err := db.governedRead(ctx, cypher, limits, func(run *governedRun, rt *exec.Runtime, opts exec.ParallelOptions) (int64, error) {
+		var err error
+		n, err = run.plan.CountParallel(rt, opts)
+		return n, err
+	})
 	if err != nil {
-		return 0, Metrics{}, err
-	}
-	defer run.finish()
-	run.cypher = cypher
-	s, err := db.pin()
-	if err != nil {
-		return 0, Metrics{}, err
-	}
-	defer s.Release()
-	plan, rt, err := db.planSnap(s, cypher)
-	if err != nil {
-		return 0, Metrics{}, err
-	}
-	run.plan = plan
-	rt.Gov = run.gov
-	opts := db.parallelOptions()
-	opts.InjectWorkerFault = db.injectWorkerFault
-	n, err := plan.CountParallel(rt, opts)
-	run.rows, run.icost = n, rt.ICost
-	m := Metrics{ICost: rt.ICost, PredEvals: rt.PredEvals, EstimatedICost: plan.EstimatedICost}
-	if err != nil {
-		run.outcome = "panic"
-		return 0, m, db.recordPanic(err)
-	}
-	if run.gov != nil && run.gov.Stopped() {
-		run.outcome = run.gov.Reason().String()
-		return 0, m, db.govError(run.gov, limits, m, n)
+		return 0, m, err
 	}
 	return n, m, nil
 }
@@ -381,75 +395,50 @@ func (db *DB) countGoverned(ctx context.Context, cypher string, limits QueryLimi
 // goroutine — preserving ordinary Go panic semantics while guaranteeing the
 // snapshot pin and admission slot are released during the unwind.
 func (db *DB) queryGoverned(ctx context.Context, cypher string, limits QueryLimits, fn func(Row) bool) error {
-	run, ctx, err := db.beginGoverned(ctx, limits)
-	if err != nil {
-		return err
-	}
-	defer run.finish()
-	run.cypher = cypher
-	s, err := db.pin()
-	if err != nil {
-		return err
-	}
-	defer s.Release()
-	plan, rt, err := db.planSnap(s, cypher)
-	if err != nil {
-		return err
-	}
-	run.plan = plan
-	db.activeQueries.Add(1)
-	defer db.activeQueries.Add(-1)
-	// Mark the goroutines that may run fn — this one (serial path and
-	// non-partitionable fallback) and every pool worker — so writeGuard can
-	// reject writes issued from inside the callback.
-	unmark := db.markCallbackGoroutine()
-	defer unmark()
-	opts := db.parallelOptions()
-	opts.OnWorkerStart = db.markCallbackGoroutine
-	opts.InjectWorkerFault = db.injectWorkerFault
-	rt.Gov = run.gov
-	g := s.Graph()
-	// Calls to the emit wrapper are serialized by ExecuteParallel, so the
-	// callback-panic slot needs no lock.
-	var cbPanic any
-	cbPanicked := false
-	err = plan.ExecuteParallel(rt, opts, func(b *exec.Binding) bool {
-		row := Row{g: g, Vertices: make(map[string]VertexID), Edges: make(map[string]EdgeID)}
-		for i, name := range plan.VertexNames {
-			row.Vertices[name] = b.V[i]
-		}
-		for i, name := range plan.EdgeNames {
-			row.Edges[name] = b.E[i]
-		}
-		ok, pv, panicked := callRow(fn, row)
-		if panicked {
-			if !cbPanicked {
-				cbPanicked, cbPanic = true, pv
+	_, err := db.governedRead(ctx, cypher, limits, func(run *governedRun, rt *exec.Runtime, opts exec.ParallelOptions) (int64, error) {
+		db.activeQueries.Add(1)
+		defer db.activeQueries.Add(-1)
+		// Mark the goroutines that may run fn — this one (serial path and
+		// non-partitionable fallback) and every pool worker — so writeGuard
+		// can reject writes issued from inside the callback.
+		unmark := db.markCallbackGoroutine()
+		defer unmark()
+		opts.OnWorkerStart = db.markCallbackGoroutine
+		plan := run.plan
+		// Calls to the emit wrapper are serialized by ExecuteParallel, so
+		// the row counter and the callback-panic slot need no lock.
+		var rows int64
+		var cbPanic any
+		cbPanicked := false
+		err := plan.ExecuteParallel(rt, opts, func(b *exec.Binding) bool {
+			row := Row{g: rt.G, Vertices: make(map[string]VertexID), Edges: make(map[string]EdgeID)}
+			for i, name := range plan.VertexNames {
+				row.Vertices[name] = b.V[i]
 			}
-			return false
+			for i, name := range plan.EdgeNames {
+				row.Edges[name] = b.E[i]
+			}
+			ok, pv, panicked := callRow(fn, row)
+			if panicked {
+				if !cbPanicked {
+					cbPanicked, cbPanic = true, pv
+				}
+				return false
+			}
+			rows++
+			return ok
+		})
+		if cbPanicked {
+			// The pool has drained (ExecuteParallel returned); re-raise the
+			// user's panic here so it surfaces on the goroutine that called
+			// QueryCtx, with the deferred Release/unmark/finish running
+			// during the unwind exactly as for any other panic.
+			run.rows, run.icost, run.outcome = rows, rt.ICost, "callback-panic"
+			panic(cbPanic)
 		}
-		run.rows++ // serialized with other emit calls
-		return ok
+		return rows, err
 	})
-	run.icost = rt.ICost
-	if cbPanicked {
-		// The pool has drained (ExecuteParallel returned); re-raise the
-		// user's panic here so it surfaces on the goroutine that called
-		// QueryCtx, with the deferred Release/unmark/finish running during
-		// the unwind exactly as for any other panic.
-		run.outcome = "callback-panic"
-		panic(cbPanic)
-	}
-	if err != nil {
-		run.outcome = "panic"
-		return db.recordPanic(err)
-	}
-	if run.gov != nil && run.gov.Stopped() {
-		run.outcome = run.gov.Reason().String()
-		m := Metrics{ICost: rt.ICost, PredEvals: rt.PredEvals, EstimatedICost: plan.EstimatedICost}
-		return db.govError(run.gov, limits, m, run.gov.RowsSeen())
-	}
-	return nil
+	return err
 }
 
 // callRow invokes the user callback under a recover, reporting a panic

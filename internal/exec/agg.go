@@ -1,14 +1,14 @@
 package exec
 
-// Factorized aggregate evaluation: COUNT pushdown generalized to SUM, MIN,
-// and MAX over integer vertex properties. The counting sink's fold boundary
-// already proves that a trailing suffix of pure EXTENDs contributes only a
-// product of list lengths; for aggregates the same boundary contributes the
-// aggregated value times the match multiplicity. Aggregates are int64-only:
-// integer addition, min, and max are associative and commutative, so any
-// partitioning of the work (morsels, stolen sub-morsels, shards, folded vs
-// enumerated suffixes) yields bit-identical results — the same merge proof
-// as the metric counters.
+// Factorized aggregate evaluation: the one fold behind COUNT, SUM, MIN, and
+// MAX over integer vertex properties (COUNT is the AggCount case). The fold
+// boundary proves that a trailing suffix of pure EXTENDs contributes only a
+// product of list lengths — the match count; for the other aggregates the
+// same boundary contributes the aggregated value times that multiplicity.
+// Aggregates are int64-only: integer addition, min, and max are associative
+// and commutative, so any partitioning of the work (morsels, stolen
+// sub-morsels, shards, folded vs enumerated suffixes) yields bit-identical
+// results — the same merge proof as the metric counters.
 
 import (
 	"time"
@@ -102,18 +102,13 @@ func (r *AggResult) observe(v int64, mult int64) {
 	r.NonNull += mult
 }
 
-// setAgg arms (or disarms, spec == nil) the pipeline's aggregate sink for
-// one run. pl.stop must already hold the sink boundary: the aggregated
-// slot's position relative to it decides between reading the bound value
-// (once per boundary tuple, times the fold multiplicity) and scanning the
-// folded list that binds it.
-func (pl *pipeline) setAgg(spec *AggSpec) {
-	if spec == nil {
-		pl.aggOn = false
-		return
-	}
-	pl.aggOn = true
-	pl.agg = *spec
+// setAgg arms the pipeline's fold for one run and resets its accumulator.
+// pl.stop must already hold the sink boundary: the aggregated slot's
+// position relative to it decides between reading the bound value (once per
+// boundary tuple, times the fold multiplicity) and scanning the folded list
+// that binds it.
+func (pl *pipeline) setAgg(spec AggSpec) {
+	pl.agg = spec
 	pl.aggRes = AggResult{}
 	pl.aggSlotOp = -1
 	if spec.Kind != AggCount {
@@ -125,68 +120,55 @@ func (pl *pipeline) setAgg(spec *AggSpec) {
 	}
 }
 
-// aggFold is the aggregate counterpart of foldedCount: it charges the exact
-// i-cost enumeration would have (the arithmetic is foldedCount's, term for
-// term) and accumulates the aggregate into pl.aggRes. When the aggregated
-// slot is bound by a folded operator, that list is fetched and scanned —
-// its per-entry values each occur in total/len(list) matches; when it is
-// bound before the boundary, the single bound value occurs in every match
-// of the fold product. Returns the number of matches folded.
+// aggFold folds the plan suffix [pl.stop:) from the boundary binding into
+// pl.aggRes and returns the number of matches it stands for: the product of
+// the suffix's adjacency-list lengths. It charges exactly the i-cost
+// enumeration would have — enumeration fetches suffix list j once per tuple
+// produced by the lists before it. When the aggregated slot is bound by a
+// folded operator, that list is fetched and scanned — its per-entry values
+// each occur in total/len(list) matches; when it is bound before the
+// boundary, the single bound value occurs in every match of the fold
+// product. With a trace armed, each folded operator's fetch, i-cost share,
+// and produced tuples land in its own span, recorded exclusively
+// (Trace.Report subtracts them from the sink).
 func (pl *pipeline) aggFold() int64 {
-	rt, b, p := pl.rt, pl.b, pl.plan
-	total := int64(1)
-	var nJ, cntJ, sumJ, minJ, maxJ int64
-	for j := pl.stop; j < len(p.Ops); j++ {
-		o := p.Ops[j].(*ExtendIntersectOp)
-		if j == pl.aggSlotOp {
-			n := pl.aggScanList(o, j, &cntJ, &sumJ, &minJ, &maxJ)
-			rt.ICost += n * (total - 1)
-			nJ = n
-			total *= n
-		} else {
-			n := int64(o.Lists[0].FetchLen(rt, b))
-			rt.ICost += n * (total - 1)
-			total *= n
-		}
-		if total == 0 {
-			return 0 // enumeration never reaches the later lists
-		}
-	}
-	pl.aggAccumulate(total, nJ, cntJ, sumJ, minJ, maxJ)
-	return total
-}
-
-// aggFoldTraced is aggFold with per-operator span attribution, mirroring
-// foldedCountTraced: identical arithmetic, with each folded operator's
-// fetch, i-cost share, and produced tuples landing in its own span.
-func (pl *pipeline) aggFoldTraced() int64 {
 	rt, b, p, tr := pl.rt, pl.b, pl.plan, pl.tr
 	total := int64(1)
 	var nJ, cntJ, sumJ, minJ, maxJ int64
 	for j := pl.stop; j < len(p.Ops); j++ {
 		o := p.Ops[j].(*ExtendIntersectOp)
-		sp := &tr.spans[j]
-		sp.Calls++
-		icost0, preds0 := rt.ICost, rt.PredEvals
-		t0 := time.Now()
+		var icost0, preds0 int64
+		var t0 time.Time
+		if tr != nil {
+			icost0, preds0 = rt.ICost, rt.PredEvals
+			t0 = time.Now()
+		}
 		var n int64
 		if j == pl.aggSlotOp {
 			n = pl.aggScanList(o, j, &cntJ, &sumJ, &minJ, &maxJ)
 			nJ = n
 		} else {
-			n = int64(o.Lists[0].FetchLen(rt, b))
+			n = int64(o.Lists[0].FetchLen(rt, b)) // charges the list once
 		}
-		rt.ICost += n * (total - 1)
-		sp.Nanos += int64(time.Since(t0))
-		sp.ICost += rt.ICost - icost0
-		sp.PredEvals += rt.PredEvals - preds0
+		rt.ICost += n * (total - 1) // the remaining fetches enumeration does
 		total *= n
-		sp.Rows += total
+		if tr != nil {
+			sp := &tr.spans[j]
+			sp.Calls++
+			sp.Nanos += int64(time.Since(t0))
+			sp.ICost += rt.ICost - icost0
+			sp.PredEvals += rt.PredEvals - preds0
+			sp.Rows += total
+		}
 		if total == 0 {
-			return 0
+			return 0 // enumeration never reaches the later lists
 		}
 	}
-	pl.aggAccumulate(total, nJ, cntJ, sumJ, minJ, maxJ)
+	if pl.agg.Kind == AggCount {
+		pl.aggRes.Rows += total
+	} else {
+		pl.aggAccumulate(total, nJ, cntJ, sumJ, minJ, maxJ)
+	}
 	return total
 }
 
@@ -225,9 +207,6 @@ func (pl *pipeline) aggScanList(o *ExtendIntersectOp, j int, cntJ, sumJ, minJ, m
 func (pl *pipeline) aggAccumulate(total, nJ, cntJ, sumJ, minJ, maxJ int64) {
 	res := &pl.aggRes
 	res.Rows += total
-	if pl.agg.Kind == AggCount {
-		return
-	}
 	if pl.aggSlotOp >= 0 {
 		if cntJ == 0 {
 			return
@@ -251,32 +230,30 @@ func (pl *pipeline) aggAccumulate(total, nJ, cntJ, sumJ, minJ, maxJ int64) {
 }
 
 // Aggregate executes the plan and returns the aggregate over all matches,
-// folding the trailing pure-EXTEND suffix exactly like Count: the match
-// count (AggResult.Rows) and the accumulated i-cost are bit-identical to
-// full enumeration.
+// folding the trailing pure-EXTEND suffix (see Count): the match count
+// (AggResult.Rows) and the accumulated i-cost are bit-identical to full
+// enumeration.
 func (p *Plan) Aggregate(rt *Runtime, spec AggSpec) AggResult {
-	return p.aggregateRun(rt, spec, p.countFoldStart())
+	return rt.pipelineFor(p).run(p.countFoldStart(), nil, spec)
 }
 
-func (p *Plan) aggregateRun(rt *Runtime, spec AggSpec, stop int) AggResult {
-	pl := rt.pipelineFor(p)
-	pl.stop = stop
-	pl.emit = nil
-	pl.n = 0
-	pl.setAgg(&spec)
-	pl.beginRun()
-	pl.step(0)
-	if pl.govEvery != 0 {
-		pl.govFlush()
-	}
-	pl.aggOn = false
-	return pl.aggRes
-}
-
-// AggregateParallel executes the aggregate with the morsel-driven worker
-// pool (work stealing included) and merges the per-worker partials exactly.
-// Panic conversion, governance polling, and the serial fallback behave as
-// in CountParallel.
+// AggregateParallel executes the aggregate with a morsel-driven worker pool
+// (work stealing included). Each worker runs the operator pipeline (with
+// the same fold as the serial path) over its own Binding, Runtime and
+// Scratch arena; per-worker partials merge exactly and ICost/PredEvals are
+// merged into rt after the barrier. Because every morsel is processed
+// exactly once, the counters are sums, and folding charges the i-cost
+// enumeration would have, the result and merged metrics are bit-identical
+// to the serial path regardless of worker count. Plans whose root operator
+// is not partitionable fall back to the serial path.
+//
+// A panic inside a worker (or the serial fallback) is recovered, converted
+// to a *PanicError carrying the panicking goroutine's stack, and returned
+// after the whole pool has drained; the first panic wins. When rt.Gov is
+// set, workers additionally poll it at every morsel boundary and every
+// Governor.CheckEvery sink tuples — a tripped governor parks the pool and
+// AggregateParallel returns the partial result with a nil error; the
+// caller inspects Governor.Reason to map the trip to its own error type.
 func (p *Plan) AggregateParallel(rt *Runtime, o ParallelOptions, spec AggSpec) (AggResult, error) {
 	return p.aggregateParallelStop(rt, o, spec, p.countFoldStart())
 }
@@ -284,26 +261,5 @@ func (p *Plan) AggregateParallel(rt *Runtime, o ParallelOptions, spec AggSpec) (
 // aggregateParallelStop is AggregateParallel with an explicit sink boundary
 // so parity tests can force full enumeration (stop == len(Ops)).
 func (p *Plan) aggregateParallelStop(rt *Runtime, o ParallelOptions, spec AggSpec, stop int) (AggResult, error) {
-	workers := o.workers()
-	if workers > 1 {
-		_, res, ran, err := p.runMorsels(rt, o, workers, true, stop, &spec, nil)
-		if ran {
-			return res, err
-		}
-	}
-	return p.aggregateSerial(rt, o, spec, stop)
-}
-
-// aggregateSerial is the single-threaded aggregate path with the same
-// panic-to-error contract as the worker pool.
-func (p *Plan) aggregateSerial(rt *Runtime, o ParallelOptions, spec AggSpec, stop int) (res AggResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = newPanicError(r)
-		}
-	}()
-	if o.InjectWorkerFault != nil {
-		o.InjectWorkerFault(0)
-	}
-	return p.aggregateRun(rt, spec, stop), nil
+	return p.runParallel(rt, o, stop, spec, nil)
 }

@@ -69,33 +69,12 @@ func (o ParallelOptions) morsel() int {
 	return o.MorselSize
 }
 
-// CountParallel executes the plan with a morsel-driven worker pool and
-// returns the number of matches. Each worker runs the operator pipeline
-// (with the same count pushdown as the serial path) over its own Binding,
-// Runtime and Scratch arena; per-worker counts and ICost/PredEvals are
-// merged into rt after the barrier. Because every morsel is processed
-// exactly once, the counters are sums, and folding charges the i-cost
-// enumeration would have, the count and merged metrics are bit-identical
-// to the serial path regardless of worker count. Plans whose root operator
-// is not partitionable fall back to the serial path.
-//
-// A panic inside a worker (or the serial fallback) is recovered, converted
-// to a *PanicError carrying the panicking goroutine's stack, and returned
-// after the whole pool has drained; the first panic wins. When rt.Gov is
-// set, workers additionally poll it at every morsel boundary and every
-// Governor.CheckEvery sink tuples — a tripped governor parks the pool and
-// CountParallel returns the partial count with a nil error; the caller
-// inspects Governor.Reason to map the trip to its own error type.
+// CountParallel executes the plan with the morsel-driven worker pool and
+// returns the number of matches: the AggCount case of AggregateParallel,
+// with the same parity, panic, and governance contract.
 func (p *Plan) CountParallel(rt *Runtime, o ParallelOptions) (int64, error) {
-	workers := o.workers()
-	if workers <= 1 {
-		return p.countSerial(rt, o)
-	}
-	n, _, ran, err := p.runMorsels(rt, o, workers, true, p.countFoldStart(), nil, nil)
-	if !ran {
-		return p.countSerial(rt, o)
-	}
-	return n, err
+	res, err := p.AggregateParallel(rt, o, AggSpec{Kind: AggCount})
+	return res.Rows, err
 }
 
 // ExecuteParallel streams complete matches into emit from a morsel-driven
@@ -105,51 +84,41 @@ func (p *Plan) CountParallel(rt *Runtime, o ParallelOptions) (int64, error) {
 // false from emit stops all workers: no further emit calls occur, though
 // in-flight workers may still read the indexes briefly before parking.
 // Plans whose root operator is not partitionable fall back to the serial
-// path. Panic conversion and governance polling behave as in CountParallel.
+// path. Panic conversion and governance polling behave as in
+// AggregateParallel.
 func (p *Plan) ExecuteParallel(rt *Runtime, o ParallelOptions, emit func(*Binding) bool) error {
-	workers := o.workers()
-	if workers <= 1 {
-		return p.executeSerial(rt, o, emit)
-	}
 	var mu sync.Mutex
 	stopped := false
-	_, _, ran, err := p.runMorsels(rt, o, workers, false, len(p.Ops), nil, func(int) func(*Binding) bool {
-		return func(b *Binding) bool {
-			mu.Lock()
-			defer mu.Unlock()
-			if stopped {
-				return false
-			}
-			if !emit(b) {
-				stopped = true
-				return false
-			}
-			return true
+	_, err := p.runParallel(rt, o, len(p.Ops), AggSpec{}, func(b *Binding) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if stopped {
+			return false
 		}
+		if !emit(b) {
+			stopped = true
+			return false
+		}
+		return true
 	})
-	if !ran {
-		return p.executeSerial(rt, o, emit)
-	}
 	return err
 }
 
-// countSerial is the single-threaded CountParallel path with the same
-// panic-to-error contract as the worker pool.
-func (p *Plan) countSerial(rt *Runtime, o ParallelOptions) (n int64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = newPanicError(r)
+// runParallel executes the plan with the sink at stop — enumerating into
+// emit when it is non-nil, folding spec otherwise — on the worker pool,
+// or serially when there is one worker or the root is not partitionable.
+func (p *Plan) runParallel(rt *Runtime, o ParallelOptions, stop int, spec AggSpec, emit func(*Binding) bool) (AggResult, error) {
+	if workers := o.workers(); workers > 1 {
+		if res, ran, err := p.runMorsels(rt, o, workers, stop, spec, emit); ran {
+			return res, err
 		}
-	}()
-	if o.InjectWorkerFault != nil {
-		o.InjectWorkerFault(0)
 	}
-	return p.Count(rt), nil
+	return p.runSerial(rt, o, stop, spec, emit)
 }
 
-// executeSerial is the single-threaded ExecuteParallel path with the same
-// panic-to-error contract as the worker pool.
-func (p *Plan) executeSerial(rt *Runtime, o ParallelOptions, emit func(*Binding) bool) (err error) {
+// runSerial is the single-threaded path with the same panic-to-error
+// contract as the worker pool.
+func (p *Plan) runSerial(rt *Runtime, o ParallelOptions, stop int, spec AggSpec, emit func(*Binding) bool) (res AggResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = newPanicError(r)
@@ -158,20 +127,18 @@ func (p *Plan) executeSerial(rt *Runtime, o ParallelOptions, emit func(*Binding)
 	if o.InjectWorkerFault != nil {
 		o.InjectWorkerFault(0)
 	}
-	p.Execute(rt, emit)
-	return nil
+	return rt.pipelineFor(p).run(stop, emit, spec), nil
 }
 
 // runMorsels partitions the root scan into morsels dispensed from a shared
 // cursor and runs the tail pipeline in workers goroutines, each over its
 // own Runtime-owned pipeline (binding + scratch arena + closure chain).
-// With counting true the workers use the allocation-free counting sink at
-// boundary stop (agg non-nil selects the aggregate fold; per-worker
-// partials are merged exactly) and the summed count is returned; otherwise
-// sinkFor returns the terminal emit for one worker, which must be safe for
-// that worker's exclusive use. It reports ran=false (without spawning
-// anything) when the plan's root is not partitionable, signalling a serial
-// fallback.
+// With emit nil the workers fold spec at boundary stop with the
+// allocation-free aggregate sink and the per-worker partials are merged
+// exactly; otherwise every worker enumerates into emit, which must be safe
+// for concurrent use. It reports ran=false
+// (without spawning anything) when the plan's root is not partitionable,
+// signalling a serial fallback.
 //
 // When the plan has a steal point (see steal.go) and stealing is enabled,
 // workers additionally publish oversized op-1 adjacency tails as sub-
@@ -184,13 +151,13 @@ func (p *Plan) executeSerial(rt *Runtime, o ParallelOptions, emit func(*Binding)
 // and surface as the returned error (first panic wins). Per-worker metric
 // counters accumulated before a panic or a governor trip are still merged
 // into rt, so aborted executions report partial profiled metrics.
-func (p *Plan) runMorsels(rt *Runtime, o ParallelOptions, workers int, counting bool, stop int, agg *AggSpec, sinkFor func(w int) func(*Binding) bool) (int64, AggResult, bool, error) {
+func (p *Plan) runMorsels(rt *Runtime, o ParallelOptions, workers int, stop int, spec AggSpec, emit func(*Binding) bool) (AggResult, bool, error) {
 	if len(p.Ops) == 0 {
-		return 0, AggResult{}, false, nil
+		return AggResult{}, false, nil
 	}
 	root, ok := p.Ops[0].(partitionableOp)
 	if !ok {
-		return 0, AggResult{}, false, nil
+		return AggResult{}, false, nil
 	}
 	size := root.tableSize(rt)
 	morsel := o.morsel()
@@ -206,8 +173,7 @@ func (p *Plan) runMorsels(rt *Runtime, o ParallelOptions, workers int, counting 
 		}
 	}
 	// Workers accumulate in their pipeline-local counters and store the
-	// results here once at exit; wg.Wait orders those stores before the sum.
-	counts := make([]int64, workers)
+	// results here once at exit; wg.Wait orders those stores before the merge.
 	aggs := make([]AggResult, workers)
 	var (
 		cursor       atomic.Int64
@@ -224,10 +190,6 @@ func (p *Plan) runMorsels(rt *Runtime, o ParallelOptions, workers int, counting 
 			wrt.Trace = new(Trace)
 		}
 		rts[w] = wrt
-		var emit func(*Binding) bool
-		if !counting {
-			emit = sinkFor(w)
-		}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -252,10 +214,8 @@ func (p *Plan) runMorsels(rt *Runtime, o ParallelOptions, workers int, counting 
 				o.InjectWorkerFault(w)
 			}
 			pl := wrt.pipelineFor(p)
-			pl.stop = stop
-			pl.emit = emit
-			pl.n = 0
-			pl.setAgg(agg)
+			pl.stop, pl.emit = stop, emit
+			pl.setAgg(spec)
 			pl.beginRun()
 			rootNext := pl.next[1]
 			var sr *stealRun
@@ -369,28 +329,18 @@ func (p *Plan) runMorsels(rt *Runtime, o ParallelOptions, workers int, counting 
 			if pl.govEvery != 0 {
 				pl.govFlush()
 			}
-			counts[w] = pl.n
 			aggs[w] = pl.aggRes
-			pl.aggOn = false
 		}(w)
 	}
 	wg.Wait()
-	var n int64
-	for w := range counts {
-		n += counts[w]
-	}
 	var res AggResult
-	if agg != nil {
-		for w := range aggs {
-			res.Merge(aggs[w])
-		}
-	}
 	for w, wrt := range rts {
+		res.Merge(aggs[w])
 		rt.ICost += wrt.ICost
 		rt.PredEvals += wrt.PredEvals
 		if rt.Trace != nil && wrt.Trace != nil {
-			rt.Trace.mergeWorker(wrt.Trace, w, counts[w], wrt.ICost, wrt.PredEvals)
+			rt.Trace.mergeWorker(wrt.Trace, w, aggs[w].Rows, wrt.ICost, wrt.PredEvals)
 		}
 	}
-	return n, res, true, poolErr
+	return res, true, poolErr
 }

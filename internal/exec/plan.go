@@ -39,17 +39,15 @@ type pipeline struct {
 	// the continuation of operator i-1.
 	next []func() bool
 	// stop is the operator index where the sink takes over: len(Ops) for
-	// full enumeration, the fold boundary for pushed-down counting.
+	// full enumeration, the fold boundary for pushed-down aggregation.
 	stop int
-	// emit is the enumeration sink; nil selects the counting sink.
+	// emit is the enumeration sink; nil selects the aggregate fold.
 	emit func(*Binding) bool
-	n    int64
 
-	// Aggregate sink state (see agg.go): aggOn selects the aggregate fold
-	// over the plain counting fold, agg is the armed spec, aggSlotOp the
-	// folded operator binding the aggregated slot (-1 when it is bound
-	// before the boundary), and aggRes the run's accumulator.
-	aggOn     bool
+	// Aggregate fold state (see agg.go): agg is the armed spec, aggSlotOp
+	// the folded operator binding the aggregated slot (-1 when it is bound
+	// before the boundary, and always for AggCount), and aggRes the run's
+	// accumulator. COUNT is the AggCount case: aggRes.Rows is the count.
 	agg       AggSpec
 	aggSlotOp int
 	aggRes    AggResult
@@ -143,7 +141,8 @@ func (rt *Runtime) pipelineFor(p *Plan) *pipeline {
 
 // step runs operators i.. of the pipeline, or the sink once i reaches the
 // stop boundary. With tracing disarmed (the steady state) the only added
-// cost is the nil test; the traced twin carries all measurement overhead.
+// cost is the nil test; stepTraced adds the span measurement around the
+// same operator call.
 func (pl *pipeline) step(i int) bool {
 	if pl.tr != nil {
 		return pl.stepTraced(i)
@@ -170,7 +169,7 @@ func (pl *pipeline) stepTraced(i int) bool {
 	t0 := time.Now()
 	var ok bool
 	if i >= pl.stop {
-		ok = pl.sinkTraced()
+		ok = pl.sink()
 	} else {
 		ok = pl.plan.Ops[i].run(pl.rt, pl.scratch.op(i), pl.b, pl.next[i+1])
 	}
@@ -180,11 +179,11 @@ func (pl *pipeline) stepTraced(i int) bool {
 	return ok
 }
 
-// sink consumes one boundary tuple: enumeration hands it to emit, counting
-// folds the remaining pure-EXTEND suffix (possibly empty) into a product.
-// With a governor attached it also ticks the cancel/budget check every
-// govEvery tuples, so even a single hub-dominated morsel observes a trip
-// within a bounded number of produced rows.
+// sink consumes one boundary tuple: enumeration hands it to emit, otherwise
+// aggFold folds the remaining pure-EXTEND suffix (possibly empty) into the
+// aggregate. With a governor attached it also ticks the cancel/budget check
+// every govEvery tuples, so even a single hub-dominated morsel observes a
+// trip within a bounded number of produced rows.
 func (pl *pipeline) sink() bool {
 	var rows int64
 	if pl.emit != nil {
@@ -192,12 +191,11 @@ func (pl *pipeline) sink() bool {
 			return false
 		}
 		rows = 1
-	} else if pl.aggOn {
-		rows = pl.aggFold()
-		pl.n += rows
 	} else {
-		rows = pl.plan.foldedCount(pl.rt, pl.b, pl.stop)
-		pl.n += rows
+		rows = pl.aggFold()
+	}
+	if pl.tr != nil {
+		pl.tr.spans[len(pl.plan.Ops)].Rows += rows
 	}
 	if pl.govEvery == 0 {
 		return true
@@ -210,34 +208,19 @@ func (pl *pipeline) sink() bool {
 	return pl.govFlush()
 }
 
-// sinkTraced is sink with span recording: the caller (stepTraced) measures
-// the sink's inclusive figures; this twin additionally records produced
-// rows into the sink span and routes the counting fold through its traced
-// variant so each folded operator gets its own attribution.
-func (pl *pipeline) sinkTraced() bool {
-	var rows int64
-	if pl.emit != nil {
-		if !pl.emit(pl.b) {
-			return false
-		}
-		rows = 1
-	} else if pl.aggOn {
-		rows = pl.aggFoldTraced()
-		pl.n += rows
-	} else {
-		rows = pl.plan.foldedCountTraced(pl.rt, pl.b, pl.stop, pl.tr)
-		pl.n += rows
+// run executes the pipeline once with the sink at stop: a non-nil emit
+// enumerates every match into it, a nil emit folds spec. It returns the
+// fold's accumulator (zero for enumeration).
+func (pl *pipeline) run(stop int, emit func(*Binding) bool, spec AggSpec) AggResult {
+	pl.stop, pl.emit = stop, emit
+	pl.setAgg(spec)
+	pl.beginRun()
+	pl.step(0)
+	if pl.govEvery != 0 {
+		pl.govFlush()
 	}
-	pl.tr.spans[len(pl.plan.Ops)].Rows += rows
-	if pl.govEvery == 0 {
-		return true
-	}
-	pl.govRows += rows
-	pl.govTuples++
-	if pl.govTuples < pl.govEvery {
-		return true
-	}
-	return pl.govFlush()
+	pl.emit = nil
+	return pl.aggRes
 }
 
 // Execute streams complete matches into emit; returning false from emit
@@ -245,36 +228,17 @@ func (pl *pipeline) sinkTraced() bool {
 // retaining. A Runtime must not execute two plans concurrently; the
 // morsel-parallel path gives each worker its own Runtime.
 func (p *Plan) Execute(rt *Runtime, emit func(*Binding) bool) {
-	pl := rt.pipelineFor(p)
-	pl.stop = len(p.Ops)
-	pl.emit = emit
-	pl.aggOn = false
-	pl.beginRun()
-	pl.step(0)
-	if pl.govEvery != 0 {
-		pl.govFlush()
-	}
-	pl.emit = nil
+	rt.pipelineFor(p).run(len(p.Ops), emit, AggSpec{})
 }
 
-// Count executes the plan and returns the number of matches. When the plan
-// ends in pure unfiltered EXTENDs over slots bound earlier, counting folds
-// the product of adjacency-list lengths at that boundary instead of
-// enumerating bindings (count pushdown): the count and the accumulated
-// i-cost are bit-identical to enumeration, with orders of magnitude fewer
-// operator invocations on star/fan-out queries.
+// Count executes the plan and returns the number of matches: the AggCount
+// case of Aggregate. When the plan ends in pure unfiltered EXTENDs over
+// slots bound earlier, the fold multiplies adjacency-list lengths at that
+// boundary instead of enumerating bindings (count pushdown): the count and
+// the accumulated i-cost are bit-identical to enumeration, with orders of
+// magnitude fewer operator invocations on star/fan-out queries.
 func (p *Plan) Count(rt *Runtime) int64 {
-	pl := rt.pipelineFor(p)
-	pl.stop = p.countFoldStart()
-	pl.emit = nil
-	pl.aggOn = false
-	pl.n = 0
-	pl.beginRun()
-	pl.step(0)
-	if pl.govEvery != 0 {
-		pl.govFlush()
-	}
-	return pl.n
+	return p.Aggregate(rt, AggSpec{Kind: AggCount}).Rows
 }
 
 // countFoldStart returns the start of the longest plan suffix consisting
@@ -310,52 +274,6 @@ func (p *Plan) countFoldStart() int {
 		start--
 	}
 	return start
-}
-
-// foldedCount returns the number of matches the plan suffix [start:) would
-// enumerate from the boundary binding b, as the product of its adjacency-
-// list lengths, charging exactly the i-cost enumeration would have charged:
-// enumeration fetches suffix list i once per tuple produced by lists 0..i-1.
-func (p *Plan) foldedCount(rt *Runtime, b *Binding, start int) int64 {
-	total := int64(1)
-	for _, op := range p.Ops[start:] {
-		o := op.(*ExtendIntersectOp)
-		// charges this list's (delta-spliced) length once
-		n := int64(o.Lists[0].FetchLen(rt, b))
-		rt.ICost += n * (total - 1) // the remaining fetches enumeration does
-		total *= n
-		if total == 0 {
-			return 0 // enumeration never reaches the later lists
-		}
-	}
-	return total
-}
-
-// foldedCountTraced is foldedCount with per-operator span attribution: the
-// arithmetic charges are identical (so traced counts and i-cost stay
-// bit-identical to the untraced fold), but each folded operator's fetch,
-// i-cost share, and produced-tuple count land in its own span. These spans
-// are recorded exclusively — Trace.Report subtracts them from the sink.
-func (p *Plan) foldedCountTraced(rt *Runtime, b *Binding, start int, tr *Trace) int64 {
-	total := int64(1)
-	for j := start; j < len(p.Ops); j++ {
-		o := p.Ops[j].(*ExtendIntersectOp)
-		sp := &tr.spans[j]
-		sp.Calls++
-		icost0, preds0 := rt.ICost, rt.PredEvals
-		t0 := time.Now()
-		n := int64(o.Lists[0].FetchLen(rt, b))
-		rt.ICost += n * (total - 1) // the remaining fetches enumeration does
-		sp.Nanos += int64(time.Since(t0))
-		sp.ICost += rt.ICost - icost0
-		sp.PredEvals += rt.PredEvals - preds0
-		total *= n
-		sp.Rows += total
-		if total == 0 {
-			return 0 // enumeration never reaches the later lists
-		}
-	}
-	return total
 }
 
 // OpNames returns each operator's rendered description in pipeline order

@@ -281,7 +281,7 @@ func TestZeroAllocStolenMorsel(t *testing.T) {
 	pl := rt.pipelineFor(plan)
 	pl.stop = plan.countFoldStart()
 	pl.emit = nil
-	pl.aggOn = false
+	pl.setAgg(AggSpec{Kind: AggCount})
 	pl.beginRun()
 	op := plan.stealPoint(pl.stop)
 	if op == nil {
@@ -290,7 +290,7 @@ func TestZeroAllocStolenMorsel(t *testing.T) {
 	sq := newStealQueue(stealQueueCap, plan.NumV, plan.NumE)
 	sr := newStealRun(pl, op, sq, 64)
 	cycle := func() int64 {
-		pl.n = 0
+		pl.aggRes.Rows = 0
 		pl.b.V[0] = 0 // the hub: its list splits into many sub-morsels
 		if !sr.rootNext() {
 			t.Fatal("rootNext aborted")
@@ -305,7 +305,7 @@ func TestZeroAllocStolenMorsel(t *testing.T) {
 		if stolen == 0 {
 			t.Fatal("degenerate steal test: nothing published")
 		}
-		return pl.n
+		return pl.aggRes.Rows
 	}
 	// Warm until every ring cell has grown its inline buffers: each cycle
 	// publishes ~31 chunks, so a dozen cycles wrap the 256-cell ring.

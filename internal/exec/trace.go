@@ -1,14 +1,15 @@
 package exec
 
 // Per-operator query tracing (EXPLAIN ANALYZE). A Trace is armed by setting
-// Runtime.Trace before an execution; the pipeline then routes every step
-// through a measuring twin of the steady-state path that records one span
-// per plan operator — invocation count, produced rows, i-cost and
+// Runtime.Trace before an execution; the pipeline then wraps every operator
+// call (stepTraced) and every folded suffix operator (inside aggFold) in
+// span measurement — invocation count, produced rows, i-cost and
 // predicate-evaluation deltas, and wall time — plus a final span for the
-// sink. Workers of a morsel-parallel execution each record into their own
-// Trace, merged into the root's after the barrier exactly like ICost and
-// PredEvals, so traced metric sums are bit-identical to an untraced
-// profiled run at any worker count.
+// sink; the operators and the fold run the same code either way. Workers of
+// a morsel-parallel execution each record into their own Trace, merged into
+// the root's after the barrier exactly like ICost and PredEvals, so traced
+// metric sums are bit-identical to an untraced profiled run at any worker
+// count.
 //
 // A nil Runtime.Trace (the default) is the disarmed state: the only cost on
 // the untraced path is one pointer test per pipeline step and one per
@@ -51,7 +52,7 @@ type WorkerSpan struct {
 	// Stolen is the number of stolen sub-morsels the worker *executed*
 	// (not published): hub-tail ranges re-partitioned past the root scan.
 	Stolen int64
-	// Rows is the worker's produced-match count (counting sink only).
+	// Rows is the worker's produced-match count (aggregate fold only).
 	Rows int64
 	// ICost, PredEvals, and Nanos are the worker's metric and wall-time
 	// totals; Nanos is time spent inside the pipeline, excluding morsel
@@ -67,7 +68,7 @@ type WorkerSpan struct {
 // shared by concurrent executions; re-running resets it.
 type Trace struct {
 	// spans[i] holds operator i's inclusive measurements; the final element
-	// is the sink (counting fold or emit).
+	// is the sink (aggregate fold or emit).
 	spans []OpSpan
 	// foldStart is the pipeline's sink boundary for this run: operators at
 	// foldStart.. were folded arithmetically by count pushdown.

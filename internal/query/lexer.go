@@ -57,11 +57,13 @@ func (l *lexer) scan() error {
 			}
 			l.toks = append(l.toks, token{tokString, s[i+1 : j], i})
 			i = j + 1
-		case unicode.IsDigit(c):
+		case isDigit(c):
+			// Numbers are ASCII only: the loop advances a byte at a time, so
+			// a multi-byte digit rune would never be consumed.
 			j := i
-			for j < len(s) && (unicode.IsDigit(rune(s[j])) || s[j] == '.') {
+			for j < len(s) && (isDigit(rune(s[j])) || s[j] == '.') {
 				// Stop a trailing '.' that belongs to property access.
-				if s[j] == '.' && (j+1 >= len(s) || !unicode.IsDigit(rune(s[j+1]))) {
+				if s[j] == '.' && (j+1 >= len(s) || !isDigit(rune(s[j+1]))) {
 					break
 				}
 				j++
@@ -106,8 +108,13 @@ func (l *lexer) scan() error {
 	return nil
 }
 
+func isDigit(c rune) bool { return '0' <= c && c <= '9' }
+
+// isIdentStart accepts letters, '_', and other non-ASCII runes except the
+// arrow/dash symbols and digits: no digit may start an identifier, so a
+// non-ASCII digit is an unexpected character.
 func isIdentStart(c rune) bool {
-	return unicode.IsLetter(c) || c == '_' || c > 127 && !strings.ContainsRune("−–→←", c)
+	return unicode.IsLetter(c) || c == '_' || c > 127 && !unicode.IsDigit(c) && !strings.ContainsRune("−–→←", c)
 }
 
 func isIdentPart(c rune) bool {

@@ -1,7 +1,9 @@
 package query
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/aplusdb/aplus/internal/pred"
 	"github.com/aplusdb/aplus/internal/storage"
@@ -136,6 +138,30 @@ func TestParseErrors(t *testing.T) {
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
+		}
+	}
+}
+
+// TestParseNonASCIIDigit: a Unicode digit outside ASCII used to stall the
+// number lexer (zero-width token, no progress) and grow its token slice
+// until the process ran out of memory. It must be rejected promptly.
+func TestParseNonASCIIDigit(t *testing.T) {
+	for _, src := range []string{
+		"MATCH a1-[e1]->a2 WHERE a1.x > ۶",
+		"۶\x9a\a",
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := Parse(src)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "unexpected character") {
+				t.Errorf("Parse(%q) = %v, want an unexpected-character error", src, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Parse(%q) did not return", src)
 		}
 	}
 }

@@ -515,49 +515,18 @@ func (c *Cluster) CountProfiledCtx(ctx context.Context, cypher string) (int64, a
 // resource limits (budgets bound each shard's work, as each shard runs its
 // own governed execution).
 func (c *Cluster) CountProfiledLimited(ctx context.Context, cypher string, limits aplus.QueryLimits) (int64, aplus.Metrics, error) {
-	type res struct {
-		shard int
-		n     int64
-		m     aplus.Metrics
-		err   error
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan res, len(c.dbs))
-	var panicked panicBox
-	for i, db := range c.dbs {
-		go func(i int, db *aplus.DB) {
-			defer panicked.forward(func() { ch <- res{shard: i, err: aplus.ErrQueryPanic} })
-			n, m, err := db.CountProfiledLimited(ctx, cypher, limits)
-			if err != nil {
-				cancel() // first-error-wins: stop sibling shards
-			}
-			ch <- res{shard: i, n: n, m: m, err: err}
-		}(i, db)
+	rs, err := fanOut(ctx, c.dbs, func(ctx context.Context, db *aplus.DB) (profiled[int64], error) {
+		n, m, err := db.CountProfiledLimited(ctx, cypher, limits)
+		return profiled[int64]{n, m}, err
+	})
+	if err != nil {
+		return 0, aplus.Metrics{}, err
 	}
 	var total int64
-	var mm aplus.Metrics
-	var firstErr error
-	for range c.dbs {
-		r := <-ch
-		if r.err != nil {
-			if preferError(firstErr, r.err) {
-				firstErr = fmt.Errorf("shard %d: %w", r.shard, r.err)
-			}
-			continue
-		}
-		total += r.n
-		mm.ICost += r.m.ICost
-		mm.PredEvals += r.m.PredEvals
-		if r.shard == 0 {
-			mm.EstimatedICost = r.m.EstimatedICost
-		}
+	for _, r := range rs {
+		total += r.v
 	}
-	panicked.rethrow()
-	if firstErr != nil {
-		return 0, aplus.Metrics{}, firstErr
-	}
-	return total, mm, nil
+	return total, mergeMetrics(rs), nil
 }
 
 // Aggregate evaluates fn (count/sum/min/max) across all shards and merges
@@ -566,49 +535,18 @@ func (c *Cluster) CountProfiledLimited(ctx context.Context, cypher string, limit
 // DB.Aggregate — the partition-of-the-root invariant extended to aggregate
 // values. Metrics merge as in CountProfiledLimited.
 func (c *Cluster) Aggregate(ctx context.Context, cypher string, fn aplus.AggFunc, variable, prop string, limits aplus.QueryLimits) (aplus.AggValue, aplus.Metrics, error) {
-	type res struct {
-		shard int
-		v     aplus.AggValue
-		m     aplus.Metrics
-		err   error
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan res, len(c.dbs))
-	var panicked panicBox
-	for i, db := range c.dbs {
-		go func(i int, db *aplus.DB) {
-			defer panicked.forward(func() { ch <- res{shard: i, err: aplus.ErrQueryPanic} })
-			v, m, err := db.AggregateLimited(ctx, cypher, fn, variable, prop, limits)
-			if err != nil {
-				cancel() // first-error-wins: stop sibling shards
-			}
-			ch <- res{shard: i, v: v, m: m, err: err}
-		}(i, db)
+	rs, err := fanOut(ctx, c.dbs, func(ctx context.Context, db *aplus.DB) (profiled[aplus.AggValue], error) {
+		v, m, err := db.AggregateLimited(ctx, cypher, fn, variable, prop, limits)
+		return profiled[aplus.AggValue]{v, m}, err
+	})
+	if err != nil {
+		return aplus.AggValue{}, aplus.Metrics{}, err
 	}
 	var total aplus.AggValue
-	var mm aplus.Metrics
-	var firstErr error
-	for range c.dbs {
-		r := <-ch
-		if r.err != nil {
-			if preferError(firstErr, r.err) {
-				firstErr = fmt.Errorf("shard %d: %w", r.shard, r.err)
-			}
-			continue
-		}
+	for _, r := range rs {
 		total.Merge(fn, r.v)
-		mm.ICost += r.m.ICost
-		mm.PredEvals += r.m.PredEvals
-		if r.shard == 0 {
-			mm.EstimatedICost = r.m.EstimatedICost
-		}
 	}
-	panicked.rethrow()
-	if firstErr != nil {
-		return aplus.AggValue{}, aplus.Metrics{}, firstErr
-	}
-	return total, mm, nil
+	return total, mergeMetrics(rs), nil
 }
 
 // ExplainAnalyze runs the query for real on every shard with per-operator
@@ -617,40 +555,14 @@ func (c *Cluster) Aggregate(ctx context.Context, cypher string, fn aplus.AggFunc
 // CountProfiledLimited's metrics do — bit-identical to an unsharded traced
 // run — while wall time takes the max, since shards execute concurrently.
 func (c *Cluster) ExplainAnalyze(ctx context.Context, cypher string, limits aplus.QueryLimits) (*aplus.QueryTrace, error) {
-	type res struct {
-		shard int
-		t     *aplus.QueryTrace
-		err   error
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan res, len(c.dbs))
-	var panicked panicBox
-	for i, db := range c.dbs {
-		go func(i int, db *aplus.DB) {
-			defer panicked.forward(func() { ch <- res{shard: i, err: aplus.ErrQueryPanic} })
-			t, err := db.ExplainAnalyzeLimited(ctx, cypher, limits)
-			if err != nil {
-				cancel()
-			}
-			ch <- res{shard: i, t: t, err: err}
-		}(i, db)
-	}
-	merged := &aplus.QueryTrace{}
-	traces := make([]*aplus.QueryTrace, len(c.dbs))
-	var firstErr error
-	for range c.dbs {
-		r := <-ch
-		traces[r.shard] = r.t
-		if r.err != nil && preferError(firstErr, r.err) {
-			firstErr = fmt.Errorf("shard %d: %w", r.shard, r.err)
-		}
-	}
-	panicked.rethrow()
-	if firstErr != nil {
-		return nil, firstErr
+	traces, err := fanOut(ctx, c.dbs, func(ctx context.Context, db *aplus.DB) (*aplus.QueryTrace, error) {
+		return db.ExplainAnalyzeLimited(ctx, cypher, limits)
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Merge in shard order so the worker split is deterministic.
+	merged := &aplus.QueryTrace{}
 	for i, t := range traces {
 		merged.Merge(t, i)
 	}
@@ -689,42 +601,76 @@ func (c *Cluster) QueryLimited(ctx context.Context, cypher string, limits aplus.
 		}
 		return true
 	}
-	type res struct {
+	// A panicking fn re-raises on the goroutine that called the shard DB;
+	// fanOut re-raises it on this caller after every shard drains,
+	// preserving the embedded API's callback-panic contract.
+	_, err := fanOut(ctx, c.dbs, func(ctx context.Context, db *aplus.DB) (struct{}, error) {
+		return struct{}{}, db.QueryLimited(ctx, cypher, limits, emit)
+	})
+	if stopped && errors.Is(err, aplus.ErrQueryCanceled) {
+		// The caller stopped the stream; sibling cancellations are the
+		// mechanism, not an error (matching the embedded early-stop API).
+		return nil
+	}
+	return err
+}
+
+// fanOut runs read on every shard concurrently under one cancelable
+// context derived from ctx and returns the per-shard results in shard
+// order. The first shard error cancels its siblings (first-error-wins) and
+// is returned tagged with its shard, except that preferError keeps an
+// induced sibling cancellation from masking the original cause; results
+// are meaningful only when the error is nil. A panic on a shard goroutine
+// (a re-raised callback panic) is re-raised on the caller once every shard
+// has returned.
+func fanOut[T any](ctx context.Context, dbs []*aplus.DB, read func(context.Context, *aplus.DB) (T, error)) ([]T, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	type done struct {
 		shard int
 		err   error
 	}
-	ch := make(chan res, len(c.dbs))
+	out := make([]T, len(dbs))
+	ch := make(chan done, len(dbs))
 	var panicked panicBox
-	for i, db := range c.dbs {
+	for i, db := range dbs {
 		go func(i int, db *aplus.DB) {
-			// A panicking fn re-raises on the goroutine that called the
-			// shard DB (this one); capture it and re-raise on the cluster
-			// caller after the fan-out drains, preserving the embedded
-			// API's callback-panic contract.
-			defer panicked.forward(func() { ch <- res{shard: i, err: aplus.ErrQueryPanic} })
-			err := db.QueryLimited(ctx, cypher, limits, emit)
+			defer panicked.forward(func() { ch <- done{shard: i, err: aplus.ErrQueryPanic} })
+			v, err := read(ctx, db)
 			if err != nil {
-				cancel()
+				cancel() // first-error-wins: stop sibling shards
 			}
-			ch <- res{shard: i, err: err}
+			out[i] = v // each goroutine owns its slot; the send orders it
+			ch <- done{shard: i, err: err}
 		}(i, db)
 	}
 	var firstErr error
-	for range c.dbs {
+	for range dbs {
 		r := <-ch
 		if r.err != nil && preferError(firstErr, r.err) {
 			firstErr = fmt.Errorf("shard %d: %w", r.shard, r.err)
 		}
 	}
 	panicked.rethrow()
-	if stopped {
-		// The caller stopped the stream; sibling cancellations are the
-		// mechanism, not an error (matching the embedded early-stop API).
-		if firstErr != nil && errors.Is(firstErr, aplus.ErrQueryCanceled) {
-			return nil
-		}
+	return out, firstErr
+}
+
+// profiled is one shard's read result with its profiled metrics.
+type profiled[V any] struct {
+	v V
+	m aplus.Metrics
+}
+
+// mergeMetrics merges per-shard metrics: ICost and PredEvals sum
+// (bit-identical to an unsharded run), EstimatedICost is the plan estimate
+// (identical on every replica, taken from shard 0).
+func mergeMetrics[V any](rs []profiled[V]) aplus.Metrics {
+	mm := aplus.Metrics{EstimatedICost: rs[0].m.EstimatedICost}
+	for _, r := range rs {
+		mm.ICost += r.m.ICost
+		mm.PredEvals += r.m.PredEvals
 	}
-	return firstErr
+	return mm
 }
 
 // preferError reports whether next should replace cur as the fan-out's

@@ -204,43 +204,17 @@ func (db *DB) ExplainAnalyze(cypher string) (*QueryTrace, error) {
 // cancellation) the partial trace accumulated up to the stop is returned
 // alongside the governance error, with Stopped set to the reason.
 func (db *DB) ExplainAnalyzeLimited(ctx context.Context, cypher string, limits QueryLimits) (*QueryTrace, error) {
-	run, ctx, err := db.beginGoverned(ctx, limits)
-	if err != nil {
-		return nil, err
-	}
-	defer run.finish()
-	run.cypher = cypher
-	s, err := db.pin()
-	if err != nil {
-		return nil, err
-	}
-	defer s.Release()
-	plan, rt, err := db.planSnap(s, cypher)
-	if err != nil {
-		return nil, err
-	}
-	run.plan = plan
-	rt.Gov = run.gov
-	rt.Trace = &exec.Trace{}
-	opts := db.parallelOptions()
-	opts.InjectWorkerFault = db.injectWorkerFault
-	t0 := time.Now()
-	n, err := plan.CountParallel(rt, opts)
-	elapsed := time.Since(t0)
-	run.rows, run.icost = n, rt.ICost
-	m := Metrics{ICost: rt.ICost, PredEvals: rt.PredEvals, EstimatedICost: plan.EstimatedICost}
-	if err != nil {
-		run.outcome = "panic"
-		return nil, db.recordPanic(err)
-	}
-	qt := buildQueryTrace(cypher, plan, rt, n, elapsed, db.Shard.Index)
-	qt.Metrics = m
-	if run.gov != nil && run.gov.Stopped() {
-		run.outcome = run.gov.Reason().String()
-		qt.Stopped = run.outcome
-		return qt, db.govError(run.gov, limits, m, n)
-	}
-	return qt, nil
+	var qt *QueryTrace
+	_, err := db.governedRead(ctx, cypher, limits, func(run *governedRun, rt *exec.Runtime, opts exec.ParallelOptions) (int64, error) {
+		rt.Trace = &exec.Trace{}
+		t0 := time.Now()
+		n, err := run.plan.CountParallel(rt, opts)
+		if err == nil {
+			qt = buildQueryTrace(cypher, run.plan, rt, n, time.Since(t0), db.Shard.Index)
+		}
+		return n, err
+	})
+	return qt, err
 }
 
 // buildQueryTrace converts the exec layer's raw trace into the public form.
@@ -249,6 +223,10 @@ func buildQueryTrace(cypher string, plan *exec.Plan, rt *exec.Runtime, n int64, 
 		Query: cypher, Count: n,
 		Nanos: int64(elapsed), Morsels: rt.Trace.Morsels, Stolen: rt.Trace.Stolen,
 		FoldStart: rt.Trace.FoldStart(),
+		Metrics:   Metrics{ICost: rt.ICost, PredEvals: rt.PredEvals, EstimatedICost: plan.EstimatedICost},
+	}
+	if rt.Gov != nil && rt.Gov.Stopped() {
+		qt.Stopped = rt.Gov.Reason().String()
 	}
 	names := plan.OpNames()
 	for i, sp := range rt.Trace.Report() {
