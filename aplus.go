@@ -657,6 +657,9 @@ func (db *DB) planSnap(s *snap.Snapshot, cypher string) (*exec.Plan, *exec.Runti
 // embed direct pointers into the store's secondary indexes and its resolved
 // partition codes, and every fold or DDL publishes a new store, so keying
 // on store identity invalidates exactly when a cached plan could go stale.
+// A miss costs a parse and the DP search; the graph statistics the search
+// ranks plans by are counted once per store (index.Store.GraphStats), so
+// only a new store's first plan pays a pass over the graph.
 // Parse errors and plan failures are never cached.
 func (db *DB) planFor(store *index.Store, cypher string, mode opt.Mode) (*exec.Plan, error) {
 	c := db.plans()

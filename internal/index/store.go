@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/aplusdb/aplus/internal/storage"
 )
@@ -22,6 +23,11 @@ const DefaultMergeThreshold = 4096
 // the optimizer and query workers — do not lock per access; instead they
 // bracket whole queries with RLock/RUnlock, so a query observes one
 // consistent index state and writes wait for in-flight queries to drain.
+//
+// Once a store is built over a graph, that graph is mutated only through
+// the store's own methods (InsertEdge, DeleteEdge). The memoized
+// GraphStats rely on it: those methods clear the memo, and nothing else
+// can tell it the graph changed.
 type Store struct {
 	g       *storage.Graph
 	primary *Primary
@@ -30,6 +36,10 @@ type Store struct {
 
 	// mu is the coarse reader/writer lock described above.
 	mu sync.RWMutex
+
+	// graphStats memoizes GraphStats; nil until the first call and after
+	// each InsertEdge/DeleteEdge.
+	graphStats atomic.Pointer[GraphStats]
 
 	// MergeThreshold controls how much buffered maintenance work may
 	// accumulate before a merge; tests lower it to exercise merging.
@@ -42,15 +52,6 @@ func (s *Store) RLock() { s.mu.RLock() }
 
 // RUnlock releases the read lock taken by RLock.
 func (s *Store) RUnlock() { s.mu.RUnlock() }
-
-// Lock takes the store's write lock, excluding all queries. It is for
-// callers that mutate shared state the store's own write methods do not
-// cover (e.g. appending vertices to the underlying graph); the store's
-// write methods lock internally and must not be called while holding it.
-func (s *Store) Lock() { s.mu.Lock() }
-
-// Unlock releases the write lock taken by Lock.
-func (s *Store) Unlock() { s.mu.Unlock() }
 
 // NewStore builds a store over g with the primary indexes configured by
 // cfg (use DefaultConfig for GraphflowDB's default).
@@ -180,6 +181,7 @@ func (s *Store) lookupName(name string) bool {
 func (s *Store) InsertEdge(src, dst storage.VertexID, label string, props map[string]storage.Value) (storage.EdgeID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.graphStats.Store(nil)
 	e, err := s.g.AddEdge(src, dst, label)
 	if err != nil {
 		return 0, err
@@ -217,6 +219,7 @@ func (s *Store) InsertEdge(src, dst storage.VertexID, label string, props map[st
 func (s *Store) DeleteEdge(e storage.EdgeID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.graphStats.Store(nil)
 	if err := s.g.DeleteEdge(e); err != nil {
 		return err
 	}
@@ -327,14 +330,17 @@ func (s *Store) WithoutIndex(name string) (*Store, bool) {
 // HasIndex reports whether a secondary index with the given name exists.
 func (s *Store) HasIndex(name string) bool { return s.lookupName(name) }
 
+// shallowCopy shares the graph, so it carries the GraphStats memo over.
 func (s *Store) shallowCopy() *Store {
-	return &Store{
+	ns := &Store{
 		g:              s.g,
 		primary:        s.primary,
 		vps:            append([]*VertexPartitioned(nil), s.vps...),
 		eps:            append([]*EdgePartitioned(nil), s.eps...),
 		MergeThreshold: s.MergeThreshold,
 	}
+	ns.graphStats.Store(s.graphStats.Load())
+	return ns
 }
 
 // Stats summarizes the store's footprint.

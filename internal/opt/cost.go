@@ -6,14 +6,14 @@ import (
 	"github.com/aplusdb/aplus/internal/storage"
 )
 
-// stats caches the coarse statistics the cost model uses. The model only
-// needs to rank plans, not predict runtimes, so the estimates are
-// deliberately simple: average list sizes per index refined by fixed
-// selectivity factors per consumed partition level or segment.
+// stats holds the cost model's float view of the store's graph statistics
+// (index.GraphStats, counted once per store). The model only needs to rank
+// plans, not predict runtimes, so the estimates are deliberately simple:
+// average list sizes per index refined by fixed selectivity factors per
+// consumed partition level or segment.
 type stats struct {
-	numV, numE   float64
-	labelCounts  map[storage.LabelID]float64
-	vLabelCounts map[storage.LabelID]float64
+	numV, numE float64
+	counts     *index.GraphStats
 	// corr is the degree-correlation multiplier for intersection-size
 	// estimates: nv * E[deg^2] / E[deg]^2-style second-moment correction.
 	// It is 1 for uniform graphs and grows with degree skew, which is what
@@ -22,36 +22,18 @@ type stats struct {
 	corr float64
 }
 
-func newStats(g *storage.Graph) stats {
+func newStats(gs *index.GraphStats) stats {
 	st := stats{
-		numV:         float64(g.NumVertices()),
-		numE:         float64(g.NumLiveEdges()),
-		labelCounts:  make(map[storage.LabelID]float64),
-		vLabelCounts: make(map[storage.LabelID]float64),
-		corr:         1,
+		numV:   float64(gs.NumVertices),
+		numE:   float64(gs.LiveEdges),
+		counts: gs,
+		corr:   1,
 	}
 	if st.numV == 0 {
 		st.numV = 1
 	}
-	outDeg := make([]float64, g.NumVertices())
-	inDeg := make([]float64, g.NumVertices())
-	for i := 0; i < g.NumEdges(); i++ {
-		e := storage.EdgeID(i)
-		if g.EdgeDeleted(e) {
-			continue
-		}
-		st.labelCounts[g.EdgeLabel(e)]++
-		outDeg[g.Src(e)]++
-		inDeg[g.Dst(e)]++
-	}
-	for i := 0; i < g.NumVertices(); i++ {
-		st.vLabelCounts[g.VertexLabel(storage.VertexID(i))]++
-	}
 	if st.numE > 0 {
-		var m2 float64
-		for i := range outDeg {
-			m2 += (outDeg[i]*outDeg[i] + inDeg[i]*inDeg[i]) / 2
-		}
+		m2 := float64(gs.DegreeSquares) / 2
 		st.corr = st.numV * m2 / (st.numE * st.numE)
 		if st.corr < 1 {
 			st.corr = 1
@@ -121,7 +103,7 @@ func termSelectivity(op pred.Op) float64 {
 // the plain mean — is the better per-list estimate on skewed graphs.
 func (st stats) avgPrimaryList(labelled bool, label storage.LabelID) float64 {
 	if labelled {
-		return st.labelCounts[label] / st.numV * st.corr
+		return float64(st.counts.EdgeLabelCounts[label]) / st.numV * st.corr
 	}
 	return st.numE / st.numV * st.corr
 }

@@ -61,7 +61,7 @@ func Optimize(s *index.Store, q *query.Graph, mode Mode) (*exec.Plan, error) {
 			return nil, fmt.Errorf("opt: self-loop query edges are not supported")
 		}
 	}
-	pl := &planner{s: s, g: s.Graph(), q: q, mode: mode, stats: newStats(s.Graph())}
+	pl := &planner{s: s, g: s.Graph(), q: q, mode: mode, stats: newStats(s.GraphStats())}
 
 	table := make(map[uint32]*state)
 	consider := func(ns *state) {
@@ -250,7 +250,7 @@ func (pl *planner) scanState(i int) *state {
 	if lbl := q.Vertices[i].Label; lbl != "" {
 		if lid, ok := pl.g.Catalog().LookupVertexLabel(lbl); ok {
 			op.HasLabel, op.Label = true, lid
-			st.card = pl.stats.vLabelCounts[lid]
+			st.card = float64(pl.stats.counts.VertexLabelCounts[lid])
 		} else {
 			op.HasLabel, op.Label = true, 0xffff
 			st.card = 0

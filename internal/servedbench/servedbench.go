@@ -71,14 +71,12 @@ func Served(o harness.Options) []harness.Row {
 
 	ctx := context.Background()
 
-	// Cold run on the served path: every shard compiles the plan. Timed
-	// before the parity check below warms anything.
-	coldStart := time.Now()
-	servedN, err := cl.Count(ctx, triangleQ)
-	if err != nil {
+	// Load-phase writes skip the index build, so the shards' first read
+	// also builds their primary indexes. Pay that with a different text
+	// before anything is timed.
+	if _, err := cl.Count(ctx, "MATCH a1-[e1]->a2"); err != nil {
 		panic(err)
 	}
-	cold := time.Since(coldStart)
 
 	// Parity gate: identical data, identical counts and summed metrics.
 	wantN, wantM, err := ref.CountProfiledCtx(ctx, triangleQ)
@@ -89,14 +87,28 @@ func Served(o harness.Options) []harness.Row {
 	if err != nil {
 		panic(err)
 	}
-	if servedN != wantN || gotN != wantN || gotM.ICost != wantM.ICost {
+	if gotN != wantN || gotM.ICost != wantM.ICost {
 		panic(fmt.Sprintf("served/embedded parity: served %d (i-cost %d), embedded %d (i-cost %d)",
 			gotN, gotM.ICost, wantN, wantM.ICost))
 	}
 
+	// Cold runs on the served path: each text renames the triangle's
+	// variables, so it misses every shard's plan cache and compiles afresh
+	// while matching the same triangles.
+	const reps = 15
+	coldLat := make([]time.Duration, reps)
+	for i := range coldLat {
+		q := fmt.Sprintf("MATCH c%[1]d-[f1]->d%[1]d-[f2]->h%[1]d, h%[1]d-[f3]->c%[1]d", i)
+		start := time.Now()
+		if got, err := cl.Count(ctx, q); err != nil || got != wantN {
+			panic(fmt.Sprintf("served cold rep: n=%d err=%v", got, err))
+		}
+		coldLat[i] = time.Since(start)
+	}
+	cold := minOf(coldLat)
+
 	// Interleave warm reps rep by rep, like the governance overhead bench,
 	// so noise hits both distributions alike.
-	const reps = 15
 	embLat := make([]time.Duration, reps)
 	srvLat := make([]time.Duration, reps)
 	for i := 0; i < reps; i++ {
@@ -115,7 +127,7 @@ func Served(o harness.Options) []harness.Row {
 	fmt.Fprintf(w, "embedded %12v   served %12v   wire+fanout overhead %+.2fx\n",
 		emb, srvMin, srvMin.Seconds()/emb.Seconds()-1)
 
-	// Plan-cache effect on the served path: the cold run compiled on every
+	// Plan-cache effect on the served path: cold runs compiled on every
 	// shard; warm runs must be all hits.
 	st, err := cl.Stats()
 	if err != nil {
