@@ -166,3 +166,69 @@ func TestPlanCacheDisabled(t *testing.T) {
 func pcTriple(st Stats) [3]int64 {
 	return [3]int64{st.PlanCacheHits, st.PlanCacheMisses, st.PlanCacheEntries}
 }
+
+// TestPlanCacheHitOverClonedColumns: a plan cached while a delta is pending
+// is served again over later snapshots, whose graphs are copy-on-write
+// clones with cloned property columns (new values, a string the cached
+// plan's first snapshot never interned). Each execution binds the plan's
+// predicates to its own snapshot's columns, so the hit counts exactly what
+// the same text counts after the fold.
+func TestPlanCacheHitOverClonedColumns(t *testing.T) {
+	db := New()
+	const n = 24
+	for i := 0; i < n; i++ {
+		if _, err := db.AddVertex("P", Props{"c": []string{"x", "y"}[i%2]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if _, err := db.AddEdge(VertexID(i), VertexID((i+1)%n), "K", Props{"w": i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := "MATCH a-[e]->b WHERE e.w > 10, b.c = 'x'"
+	if _, err := db.Count(q); err != nil {
+		t.Fatal(err)
+	}
+	// The first write switches the planner to delta-pending mode (one miss);
+	// the plan compiled then is cached for the rest of the delta's life.
+	if _, err := db.AddEdge(0, 2, "K", Props{"w": 50}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Count(q); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := db.AddVertex("P", Props{"c": "fresh"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := db.AddEdge(VertexID(i), VertexID(2*i%n), "K", Props{"w": 8 + i}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.AddEdge(fresh, VertexID(2*i%n), "K", Props{"w": 20 + i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if db.Stats().PendingWrites == 0 {
+		t.Fatal("delta unexpectedly folded")
+	}
+	hits := db.Stats().PlanCacheHits
+	delta, err := db.Count(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Stats().PlanCacheHits != hits+1 {
+		t.Fatal("the delta-snapshot read did not hit the plan cache")
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	folded, err := db.Count(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta != folded || delta == 0 {
+		t.Fatalf("cached plan over the delta snapshot counted %d, after the fold %d", delta, folded)
+	}
+}

@@ -1,6 +1,9 @@
 package csr
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // GroupSize is the number of owners that share one offset-list data page and
 // hence one fixed offset width (Section IV-B: "groups of 64 vertices").
@@ -72,12 +75,30 @@ func NewSharedOffsetBuilder(primary *CSR) *OffsetBuilder {
 // Add records one entry. codes must match the builder's level count; for
 // shared builders they must be the codes used in the primary index.
 func (b *OffsetBuilder) Add(e OffsetEntry, codes []uint16) {
+	b.entries = append(b.entries, b.Place(e, codes))
+}
+
+// Place returns e assigned to the bucket of codes, ready for AddPlaced. It
+// only reads the builder's level strides, so parallel build workers may
+// place entries concurrently and keep no per-entry copy of their codes.
+func (b *OffsetBuilder) Place(e OffsetEntry, codes []uint16) OffsetEntry {
 	var bucket uint32
 	for i, c := range codes {
 		bucket += uint32(c) * b.strides[i]
 	}
 	e.bucket = bucket
-	b.entries = append(b.entries, e)
+	return e
+}
+
+// AddPlaced records entries returned by Place.
+func (b *OffsetBuilder) AddPlaced(es []OffsetEntry) {
+	b.entries = append(b.entries, es...)
+}
+
+// Reserve grows the entry buffer to hold n more entries without
+// reallocating.
+func (b *OffsetBuilder) Reserve(n int) {
+	b.entries = slices.Grow(b.entries, n)
 }
 
 // Len returns the number of entries added so far.

@@ -120,6 +120,18 @@ func (pl *pipeline) setAgg(spec AggSpec) {
 	}
 }
 
+// bindAgg resolves the aggregated property's column against the Runtime's
+// graph. Only KindInt columns hold integer values.
+func (pl *pipeline) bindAgg() {
+	pl.aggCol = nil
+	if pl.agg.Kind == AggCount {
+		return
+	}
+	if col, ok := pl.rt.G.VertexColumn(pl.agg.Prop); ok && col.Kind == storage.KindInt {
+		pl.aggCol = col
+	}
+}
+
 // aggFold folds the plan suffix [pl.stop:) from the boundary binding into
 // pl.aggRes and returns the number of matches it stands for: the product of
 // the suffix's adjacency-list lengths. It charges exactly the i-cost
@@ -183,19 +195,21 @@ func (pl *pipeline) aggScanList(o *ExtendIntersectOp, j int, cntJ, sumJ, minJ, m
 	sc.decode(0, r.fetchWith(rt, sc, 0, b, r.Codes))
 	f := sc.lists[0]
 	*cntJ, *sumJ, *minJ, *maxJ = 0, 0, 0, 0
-	for _, nbr := range f.nbrs {
-		v := rt.G.VertexProp(storage.VertexID(nbr), pl.agg.Prop)
-		if v.Kind != storage.KindInt {
-			continue
+	if col := pl.aggCol; col != nil {
+		for _, nbr := range f.nbrs {
+			v, ok := col.IntAt(int(nbr))
+			if !ok {
+				continue
+			}
+			if *cntJ == 0 || v < *minJ {
+				*minJ = v
+			}
+			if *cntJ == 0 || v > *maxJ {
+				*maxJ = v
+			}
+			*sumJ += v
+			*cntJ++
 		}
-		if *cntJ == 0 || v.I < *minJ {
-			*minJ = v.I
-		}
-		if *cntJ == 0 || v.I > *maxJ {
-			*maxJ = v.I
-		}
-		*sumJ += v.I
-		*cntJ++
 	}
 	return int64(len(f.nbrs))
 }
@@ -222,11 +236,12 @@ func (pl *pipeline) aggAccumulate(total, nJ, cntJ, sumJ, minJ, maxJ int64) {
 		res.NonNull += cntJ * tOther
 		return
 	}
-	v := pl.rt.G.VertexProp(pl.b.V[pl.agg.Slot], pl.agg.Prop)
-	if v.Kind != storage.KindInt {
+	if pl.aggCol == nil {
 		return
 	}
-	res.observe(v.I, total)
+	if v, ok := pl.aggCol.IntAt(int(pl.b.V[pl.agg.Slot])); ok {
+		res.observe(v, total)
+	}
 }
 
 // Aggregate executes the plan and returns the aggregate over all matches,

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+
+	"github.com/aplusdb/aplus/internal/storage"
 )
 
 // CloseEdgeOp matches a query edge whose endpoints are both already bound,
@@ -15,6 +17,11 @@ type CloseEdgeOp struct {
 	// Sorted enables binary search; unsorted lists are scanned linearly,
 	// as in systems with unsorted adjacency lists.
 	Sorted bool
+}
+
+func (o *CloseEdgeOp) bind(g *storage.Graph, sc *opScratch) {
+	sc.oneRef[0] = o.List
+	sc.bindSegments(g, sc.oneRef[:])
 }
 
 func (o *CloseEdgeOp) run(rt *Runtime, sc *opScratch, b *Binding, next func() bool) bool {

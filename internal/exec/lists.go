@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"github.com/aplusdb/aplus/internal/index"
-	"github.com/aplusdb/aplus/internal/storage"
+	"github.com/aplusdb/aplus/internal/pred"
 )
 
 // ListKind selects which index a ListRef reads.
@@ -117,7 +117,7 @@ func (r ListRef) fetchSpliced(rt *Runtime, sc *opScratch, li int, b *Binding, co
 func (r ListRef) fetchWith(rt *Runtime, sc *opScratch, li int, b *Binding, codes []uint16) index.AdjList {
 	l := r.fetchSpliced(rt, sc, li, b, codes)
 	if r.Seg != nil {
-		l = segmentList(rt, b, l, r.Seg)
+		l = segmentList(b, l, r.Seg, &sc.segs[li])
 	}
 	rt.ICost += int64(l.Len())
 	return l
@@ -140,17 +140,24 @@ func (r ListRef) FetchLen(rt *Runtime, b *Binding) int {
 	return n
 }
 
+// boundSeg is a list's Segment bound to one execution's graph: the sort
+// key and, for DynEq segments, the operand and the slot it reads.
+type boundSeg struct {
+	key     index.BoundSortKey
+	dyn     pred.BoundOperand
+	dynSlot slotRef
+}
+
 // segmentList binary-searches the [Lo, Hi) ordinal range of the first sort
-// key inside a list sorted on it. The searches are hand-rolled (no
-// sort.Search) so the per-fetch path allocates no closures.
-func segmentList(rt *Runtime, b *Binding, l index.AdjList, seg *Segment) index.AdjList {
-	g := rt.G
+// key inside a list sorted on it, with seg bound as bs. The searches are
+// hand-rolled (no sort.Search) so the per-fetch path allocates no closures.
+func segmentList(b *Binding, l index.AdjList, seg *Segment, bs *boundSeg) index.AdjList {
 	n := l.Len()
 	segLo, segHi := seg.Lo, seg.Hi
 	hasLo, hasHi := seg.HasLo, seg.HasHi
 	if seg.DynEq != nil {
-		v := seg.DynEq.Value(rt, b)
-		ord, ok := index.OrdinalOfValue(g, seg.Key, v)
+		v := bs.dyn.Value(bs.dynSlot.entity(b))
+		ord, ok := bs.key.OrdinalOfValue(v)
 		if !ok || v.IsNull() {
 			return l.Slice(0, 0)
 		}
@@ -159,11 +166,11 @@ func segmentList(rt *Runtime, b *Binding, l index.AdjList, seg *Segment) index.A
 	}
 	lo := 0
 	if hasLo {
-		lo = segSearch(g, seg.Key, l, n, segLo)
+		lo = segSearch(&bs.key, l, n, segLo)
 	}
 	hi := n
 	if hasHi {
-		hi = segSearch(g, seg.Key, l, n, segHi)
+		hi = segSearch(&bs.key, l, n, segHi)
 	}
 	if lo > hi {
 		lo = hi
@@ -173,12 +180,12 @@ func segmentList(rt *Runtime, b *Binding, l index.AdjList, seg *Segment) index.A
 
 // segSearch returns the first position in [0, n) whose sort-key ordinal is
 // >= target (n when none is).
-func segSearch(g *storage.Graph, key index.SortKey, l index.AdjList, n int, target uint64) int {
+func segSearch(key *index.BoundSortKey, l index.AdjList, n int, target uint64) int {
 	lo, hi := 0, n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		nbr, e := l.Get(mid)
-		if index.SortKeyOrdinal(g, key, e, nbr) < target {
+		if key.Ordinal(e, nbr) < target {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -12,8 +12,12 @@ import (
 // next for every produced extension; returning false aborts the pipeline.
 // sc is the operator's slot in the worker's Scratch arena: all per-tuple
 // buffers live there, never on the heap, and Op values themselves carry no
-// mutable state so one Plan can run in many workers at once.
+// mutable state so one Plan can run in many workers at once. bind runs once
+// per execution, before the first run: it resolves the op's predicate
+// terms and sort keys against the execution's graph into sc, so run reads
+// columns directly instead of looking properties up by name per tuple.
 type Op interface {
+	bind(g *storage.Graph, sc *opScratch)
 	run(rt *Runtime, sc *opScratch, b *Binding, next func() bool) bool
 	explain() string
 }
@@ -27,6 +31,10 @@ type ScanVertexOp struct {
 	Label    storage.LabelID
 	ExactID  *storage.VertexID
 	Terms    []CompiledTerm
+}
+
+func (o *ScanVertexOp) bind(g *storage.Graph, sc *opScratch) {
+	sc.terms = bindTerms(sc.terms, g, o.Terms)
 }
 
 func (o *ScanVertexOp) run(rt *Runtime, sc *opScratch, b *Binding, next func() bool) bool {
@@ -47,7 +55,7 @@ func (o *ScanVertexOp) tableSize(rt *Runtime) int {
 // runRange scans positions [lo, hi) of the vertex table — or, when a label
 // is fixed, of the per-label vertex list, so unlabeled vertices are never
 // touched (partitionableOp).
-func (o *ScanVertexOp) runRange(rt *Runtime, _ *opScratch, b *Binding, lo, hi int, next func() bool) bool {
+func (o *ScanVertexOp) runRange(rt *Runtime, sc *opScratch, b *Binding, lo, hi int, next func() bool) bool {
 	tryOne := func(v storage.VertexID) bool {
 		// Shard ownership filters before predicates and binding: a skipped
 		// entry charges no metrics, so per-shard counters sum bit-identically
@@ -56,7 +64,7 @@ func (o *ScanVertexOp) runRange(rt *Runtime, _ *opScratch, b *Binding, lo, hi in
 			return true
 		}
 		b.V[o.Slot] = v
-		if !evalAll(rt, b, o.Terms) {
+		if !evalAll(rt, b, sc.terms) {
 			return true
 		}
 		return next()
@@ -114,6 +122,10 @@ type ScanEdgeOp struct {
 	Terms                      []CompiledTerm
 }
 
+func (o *ScanEdgeOp) bind(g *storage.Graph, sc *opScratch) {
+	sc.terms = bindTerms(sc.terms, g, o.Terms)
+}
+
 func (o *ScanEdgeOp) run(rt *Runtime, sc *opScratch, b *Binding, next func() bool) bool {
 	return o.runRange(rt, sc, b, 0, o.tableSize(rt), next)
 }
@@ -127,7 +139,7 @@ func (o *ScanEdgeOp) tableSize(rt *Runtime) int {
 }
 
 // runRange scans edge slots [lo, hi) of the edge table (partitionableOp).
-func (o *ScanEdgeOp) runRange(rt *Runtime, _ *opScratch, b *Binding, lo, hi int, next func() bool) bool {
+func (o *ScanEdgeOp) runRange(rt *Runtime, sc *opScratch, b *Binding, lo, hi int, next func() bool) bool {
 	tryOne := func(e storage.EdgeID) bool {
 		if rt.G.EdgeDeleted(e) {
 			return true
@@ -147,7 +159,7 @@ func (o *ScanEdgeOp) runRange(rt *Runtime, _ *opScratch, b *Binding, lo, hi int,
 		b.E[o.EdgeSlot] = e
 		b.V[o.SrcSlot] = rt.G.Src(e)
 		b.V[o.DstSlot] = rt.G.Dst(e)
-		if !evalAll(rt, b, o.Terms) {
+		if !evalAll(rt, b, sc.terms) {
 			return true
 		}
 		return next()
@@ -189,6 +201,8 @@ type ExtendIntersectOp struct {
 	Lists      []ListRef
 	TargetSlot int
 }
+
+func (o *ExtendIntersectOp) bind(g *storage.Graph, sc *opScratch) { sc.bindSegments(g, o.Lists) }
 
 func (o *ExtendIntersectOp) run(rt *Runtime, sc *opScratch, b *Binding, next func() bool) bool {
 	if len(o.Lists) == 1 && o.Lists[0].Seg == nil {
@@ -346,8 +360,13 @@ type meCursor struct {
 	end  int // run end for the current ordinal
 }
 
-func (o *MultiExtendOp) run(rt *Runtime, sc *opScratch, b *Binding, next func() bool) bool {
+func (o *MultiExtendOp) bind(g *storage.Graph, sc *opScratch) {
 	sc.initME(o)
+	sc.meKey = index.BindSortKey(g, o.Key)
+	sc.bindSegments(g, sc.refs)
+}
+
+func (o *MultiExtendOp) run(rt *Runtime, sc *opScratch, b *Binding, next func() bool) bool {
 	sc.initCombo(sc.refs)
 	for {
 		ok := true
@@ -368,14 +387,15 @@ func (o *MultiExtendOp) run(rt *Runtime, sc *opScratch, b *Binding, next func() 
 	}
 }
 
-// meOrdinal computes the sort-key ordinal of cursor entry i.
-func meOrdinal(g *storage.Graph, key index.SortKey, c *meCursor, i int) uint64 {
+// meOrdinal computes the sort-key ordinal of cursor entry i under the
+// op's bound sort key.
+func meOrdinal(key *index.BoundSortKey, c *meCursor, i int) uint64 {
 	nbr, e := c.list.Get(i)
-	return index.SortKeyOrdinal(g, key, e, nbr)
+	return key.Ordinal(e, nbr)
 }
 
 func (o *MultiExtendOp) merge(rt *Runtime, sc *opScratch, b *Binding, next func() bool) bool {
-	g := rt.G
+	key := &sc.meKey
 	cursors := sc.cursors
 	nullOrd := ^uint64(0)
 	for {
@@ -386,7 +406,7 @@ func (o *MultiExtendOp) merge(rt *Runtime, sc *opScratch, b *Binding, next func(
 			if c.pos >= c.list.Len() {
 				return true
 			}
-			if ord := meOrdinal(g, o.Key, c, c.pos); ord > target {
+			if ord := meOrdinal(key, c, c.pos); ord > target {
 				target = ord
 			}
 		}
@@ -397,13 +417,13 @@ func (o *MultiExtendOp) merge(rt *Runtime, sc *opScratch, b *Binding, next func(
 		agreed := true
 		for i := range cursors {
 			c := &cursors[i]
-			for c.pos < c.list.Len() && meOrdinal(g, o.Key, c, c.pos) < target {
+			for c.pos < c.list.Len() && meOrdinal(key, c, c.pos) < target {
 				c.pos++
 			}
 			if c.pos >= c.list.Len() {
 				return true
 			}
-			if meOrdinal(g, o.Key, c, c.pos) != target {
+			if meOrdinal(key, c, c.pos) != target {
 				agreed = false
 			}
 		}
@@ -413,7 +433,7 @@ func (o *MultiExtendOp) merge(rt *Runtime, sc *opScratch, b *Binding, next func(
 		for i := range cursors {
 			c := &cursors[i]
 			j := c.pos
-			for j < c.list.Len() && meOrdinal(g, o.Key, c, j) == target {
+			for j < c.list.Len() && meOrdinal(key, c, j) == target {
 				j++
 			}
 			c.end = j
@@ -533,8 +553,10 @@ type FilterOp struct {
 	Terms []CompiledTerm
 }
 
-func (o *FilterOp) run(rt *Runtime, _ *opScratch, b *Binding, next func() bool) bool {
-	if !evalAll(rt, b, o.Terms) {
+func (o *FilterOp) bind(g *storage.Graph, sc *opScratch) { sc.terms = bindTerms(sc.terms, g, o.Terms) }
+
+func (o *FilterOp) run(rt *Runtime, sc *opScratch, b *Binding, next func() bool) bool {
+	if !evalAll(rt, b, sc.terms) {
 		return true
 	}
 	return next()

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"github.com/aplusdb/aplus/internal/storage"
 )
 
 // Plan is a linear pipeline of physical operators producing complete
@@ -51,6 +53,10 @@ type pipeline struct {
 	agg       AggSpec
 	aggSlotOp int
 	aggRes    AggResult
+	// aggCol is the aggregated property's column, bound per execution;
+	// nil when the graph has no KindInt column of that name, so every
+	// match is a NULL.
+	aggCol *storage.Column
 
 	// Governance state (all zero when rt.Gov is nil): govEvery is the
 	// flush interval in sink tuples, govTuples counts tuples since the last
@@ -67,22 +73,30 @@ type pipeline struct {
 	tr *Trace
 }
 
-// beginRun re-arms the pipeline's governance state for one execution. It
-// must run after pipelineFor and before step(0): the cached pipeline may
-// have been built for an earlier execution with a different (or no)
-// governor, and the i-cost watermark must start at the Runtime's current
-// accumulator value.
+// beginRun re-arms the pipeline for one execution. It must run after
+// pipelineFor and setAgg and before step(0). It rebinds every operator's
+// predicate terms and sort keys to the Runtime's graph — the cached
+// pipeline may last have run before that graph gained a property column —
+// into the ops' scratch slots, which reuse their backing arrays. And it
+// re-arms governance: the pipeline may have been built for an earlier
+// execution with a different (or no) governor, and the i-cost watermark
+// must start at the Runtime's current accumulator value.
 func (pl *pipeline) beginRun() {
+	g := pl.rt.G
+	for i, op := range pl.plan.Ops {
+		op.bind(g, pl.scratch.op(i))
+	}
+	pl.bindAgg()
 	pl.tr = pl.rt.Trace
 	if pl.tr != nil {
 		pl.tr.arm(len(pl.plan.Ops), pl.stop)
 	}
-	g := pl.rt.Gov
-	if g == nil {
+	gov := pl.rt.Gov
+	if gov == nil {
 		pl.govEvery = 0
 		return
 	}
-	pl.govEvery = g.checkEvery()
+	pl.govEvery = gov.checkEvery()
 	pl.govTuples = 0
 	pl.govRows = 0
 	pl.govICostBase = pl.rt.ICost

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"github.com/aplusdb/aplus/internal/index"
+	"github.com/aplusdb/aplus/internal/storage"
 )
 
 // Scratch is a per-worker arena of reusable operator buffers. Every slice a
@@ -78,6 +79,34 @@ type opScratch struct {
 	cursors  []meCursor
 	groups   []meGroupScratch
 	meReady  bool
+
+	// Per-execution bindings (Op.bind): the op's predicate terms, the
+	// MULTI-EXTEND sort key, and the sorted segment of each list position
+	// (only positions whose ListRef has a Seg are set). Rebound into the
+	// same backing arrays on every execution.
+	terms []boundTerm
+	meKey index.BoundSortKey
+	segs  []boundSeg
+}
+
+// bindSegments binds the sorted segment of every list position of refs
+// that carries one.
+func (sc *opScratch) bindSegments(g *storage.Graph, refs []ListRef) {
+	for i := range refs {
+		seg := refs[i].Seg
+		if seg == nil {
+			continue
+		}
+		for len(sc.segs) <= i {
+			sc.segs = append(sc.segs, boundSeg{})
+		}
+		bs := &sc.segs[i]
+		bs.key = index.BindSortKey(g, seg.Key)
+		if seg.DynEq != nil {
+			bs.dyn = seg.DynEq.bind(g)
+			bs.dynSlot = seg.DynEq.slot()
+		}
+	}
 }
 
 // meGroupScratch is the per-group emit state of a MULTI-EXTEND: the cursor
@@ -174,7 +203,7 @@ func (sc *opScratch) decode(i int, l index.AdjList) {
 }
 
 // initME computes the MULTI-EXTEND shape (flattened refs, group membership,
-// per-group emit buffers) the first time the op runs in this worker.
+// per-group emit buffers) the first time the op is bound in this worker.
 func (sc *opScratch) initME(o *MultiExtendOp) {
 	if sc.meReady {
 		return

@@ -46,11 +46,11 @@ func BuildBitmapVP(p *Primary, name string, viewPred pred.Predicate, dirs []Dire
 	for _, dir := range dirs {
 		c := p.dirCSR(dir)
 		bits := make([]uint64, (c.Len()+63)/64)
-		resolved := viewPred.ResolveNbr(dir == FW)
+		resolved := viewPred.ResolveNbr(dir == FW).Bind(p.g)
 		eids := c.EIDs()
 		for pos := 0; pos < c.Len(); pos++ {
 			e := storage.EdgeID(eids[pos])
-			if resolved.IsTrue() || resolved.Eval(pred.EdgeCtx{G: p.g, Adj: e}) {
+			if resolved.IsTrue() || resolved.Eval(pred.EdgeCtx{Adj: e}) {
 				bits[pos/64] |= 1 << (uint(pos) % 64)
 			}
 		}

@@ -169,6 +169,7 @@ func (d *Delta) Splice(p *Primary, dir Direction, owner uint32, codes []uint16, 
 	}
 	nbrs, eids = nbrs[:0], eids[:0]
 	ri := nextRunMatch(run, 0, codes)
+	sorts := bindSorts(p.g, p.cfg.Sorts)
 	var cb [8]uint16
 	for i := 0; i < n; i++ {
 		nb, e := base.Get(i)
@@ -179,7 +180,7 @@ func (d *Delta) Splice(p *Primary, dir Direction, owner uint32, codes []uint16, 
 			cur := bufEntry{
 				nbr:   uint32(nb),
 				eid:   uint64(e),
-				sort:  sortOrdinals(p.g, p.cfg.Sorts, e, nb),
+				sort:  sorts.ordinals(e, nb),
 				codes: codesFor(p.levels, e, nb, cb[:0]),
 			}
 			for ri < len(run) && bufLess(run[ri], cur) {
@@ -221,6 +222,9 @@ type DeltaBuilder struct {
 	ownedDels    [2]map[uint32]bool
 
 	impossible bool
+
+	// ic is rebound to the batch graph for every op (see insertCoder).
+	ic insertCoder
 }
 
 // NewDeltaBuilder starts a commit's overlay from parent (nil for empty)
@@ -296,8 +300,9 @@ func (b *DeltaBuilder) Impossible() bool { return b.impossible }
 // graph clone) in both directions.
 func (b *DeltaBuilder) Insert(e storage.EdgeID) {
 	src, dst := b.g.Src(e), b.g.Dst(e)
-	fwCodes, ok1 := codesForInsert(b.g, b.p.levels, e, dst)
-	bwCodes, ok2 := codesForInsert(b.g, b.p.levels, e, src)
+	b.ic.bind(b.g, b.p.levels)
+	fwCodes, ok1 := b.ic.codes(e, dst)
+	bwCodes, ok2 := b.ic.codes(e, src)
 	fwSort, ok3 := b.baseSortOrdinals(e, dst)
 	bwSort, ok4 := b.baseSortOrdinals(e, src)
 	if !ok1 || !ok2 || !ok3 || !ok4 {
@@ -401,8 +406,9 @@ func (b *DeltaBuilder) Delete(e storage.EdgeID) {
 		b.removeRun(FW, uint32(src), uint64(e))
 		b.removeRun(BW, uint32(dst), uint64(e))
 	} else {
-		fwCodes, _ := codesForInsert(b.g, b.p.levels, e, dst)
-		bwCodes, _ := codesForInsert(b.g, b.p.levels, e, src)
+		b.ic.bind(b.g, b.p.levels)
+		fwCodes, _ := b.ic.codes(e, dst)
+		bwCodes, _ := b.ic.codes(e, src)
 		b.insertDel(FW, uint32(src), delRec{eid: uint64(e), codes: fwCodes})
 		b.insertDel(BW, uint32(dst), delRec{eid: uint64(e), codes: bwCodes})
 	}

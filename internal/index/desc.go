@@ -192,40 +192,43 @@ func codesFor(levels []level, e storage.EdgeID, nbr storage.VertexID, buf []uint
 	return buf
 }
 
-// valueOf reads the level's partitioning value for an adjacency entry
-// directly from the graph (used for edges inserted after the categorical
-// encoding was built).
-func (l level) valueOf(g *storage.Graph, e storage.EdgeID, nbr storage.VertexID) storage.Value {
-	switch {
-	case l.key.Var == pred.VarAdj && l.key.Prop == pred.PropLabel:
-		return storage.Str(g.Catalog().EdgeLabelName(g.EdgeLabel(e)))
-	case l.key.Var == pred.VarAdj:
-		return g.EdgeProp(e, l.key.Prop)
-	case l.key.Prop == pred.PropLabel:
-		return storage.Str(g.Catalog().VertexLabelName(g.VertexLabel(nbr)))
-	default:
-		return g.VertexProp(nbr, l.key.Prop)
+// insertCoder computes bucket codes for freshly inserted edges, falling
+// back to reading the partitioning value when the edge or vertex postdates
+// the categorical encoding. The value reads are bound to the graph when the
+// coder is made, after the inserted edge's properties are set and outside
+// any per-entry loop: a copy-on-write graph may still detach a column on
+// its next property write.
+type insertCoder struct {
+	levels []level
+	vals   []pred.BoundOperand
+}
+
+// bind (re)binds the coder to levels over g, reusing its buffer, so a
+// long-lived coder rebinds per insert without allocating.
+func (ic *insertCoder) bind(g *storage.Graph, levels []level) {
+	ic.levels = levels
+	ic.vals = ic.vals[:0]
+	for _, l := range levels {
+		ic.vals = append(ic.vals, pred.BindProp(g, l.key.Var == pred.VarAdj, l.key.Prop, 0))
 	}
 }
 
-// codesForInsert computes bucket codes for a freshly inserted edge, falling
-// back to value lookup when the edge or vertex postdates the categorical
-// encoding. ok is false when a value has no bucket (a brand-new categorical
-// value), in which case the caller must trigger a full rebuild.
-func codesForInsert(g *storage.Graph, levels []level, e storage.EdgeID, nbr storage.VertexID) ([]uint16, bool) {
-	out := make([]uint16, len(levels))
-	for i, l := range levels {
-		var idx int
+// codes returns the bucket codes of the adjacency entry (edge e,
+// neighbour nbr). ok is false when a value has no bucket (a brand-new
+// categorical value), in which case the caller must trigger a full
+// rebuild.
+func (ic *insertCoder) codes(e storage.EdgeID, nbr storage.VertexID) ([]uint16, bool) {
+	out := make([]uint16, len(ic.levels))
+	for i, l := range ic.levels {
+		idx := uint64(nbr)
 		if l.key.Var == pred.VarAdj {
-			idx = int(e)
-		} else {
-			idx = int(nbr)
+			idx = uint64(e)
 		}
-		if idx < len(l.cat.Codes) {
+		if idx < uint64(len(l.cat.Codes)) {
 			out[i] = l.cat.Codes[idx]
 			continue
 		}
-		b, ok := l.cat.BucketOf(l.valueOf(g, e, nbr))
+		b, ok := l.cat.BucketOf(ic.vals[i].Value(idx))
 		if !ok {
 			return nil, false
 		}
@@ -234,85 +237,114 @@ func codesForInsert(g *storage.Graph, levels []level, e storage.EdgeID, nbr stor
 	return out, true
 }
 
-// sortOrdinal computes the sort ordinal of an adjacency entry under one sort
-// key. Ordinals order entries identically to comparing the underlying
-// values, with NULLs last.
-func sortOrdinal(g *storage.Graph, k SortKey, e storage.EdgeID, nbr storage.VertexID) uint64 {
+// BoundSortKey is a SortKey resolved against one graph: the property
+// column (or the ID or label table) is looked up once, so computing an
+// entry's ordinal is an array read. Ordinals order entries identically to
+// comparing the underlying values, with NULLs last. A binding is valid for
+// the graph it was made over; bind once per build or execution, outside
+// the per-entry loops.
+type BoundSortKey struct {
+	key SortKey
+	g   *storage.Graph
+	col *storage.Column // property keys; nil when g has no such column
+}
+
+// BindSortKey resolves k against g.
+func BindSortKey(g *storage.Graph, k SortKey) BoundSortKey {
+	b := BoundSortKey{key: k, g: g}
+	if k.Prop != pred.PropID && k.Prop != pred.PropLabel {
+		if k.Var == pred.VarNbr {
+			b.col, _ = g.VertexColumn(k.Prop)
+		} else {
+			b.col, _ = g.EdgeColumn(k.Prop)
+		}
+	}
+	return b
+}
+
+// Ordinal computes the sort ordinal of the adjacency entry (edge e,
+// neighbour nbr).
+func (b *BoundSortKey) Ordinal(e storage.EdgeID, nbr storage.VertexID) uint64 {
+	if b.col != nil {
+		if b.key.Var == pred.VarNbr {
+			return b.col.SortOrdinal(int(nbr))
+		}
+		return b.col.SortOrdinal(int(e))
+	}
 	switch {
-	case k.Var == pred.VarNbr && k.Prop == pred.PropID:
+	case b.key.Var == pred.VarNbr && b.key.Prop == pred.PropID:
 		return uint64(nbr)
-	case k.Var == pred.VarNbr && k.Prop == pred.PropLabel:
-		return uint64(g.VertexLabel(nbr))
-	case k.Var == pred.VarNbr:
-		if col, ok := g.VertexColumn(k.Prop); ok {
-			return col.SortOrdinal(int(nbr))
-		}
-		return ^uint64(0)
-	case k.Var == pred.VarAdj && k.Prop == pred.PropID:
+	case b.key.Var == pred.VarNbr && b.key.Prop == pred.PropLabel:
+		return uint64(b.g.VertexLabel(nbr))
+	case b.key.Var == pred.VarAdj && b.key.Prop == pred.PropID:
 		return uint64(e)
-	case k.Var == pred.VarAdj && k.Prop == pred.PropLabel:
-		return uint64(g.EdgeLabel(e))
-	default:
-		if col, ok := g.EdgeColumn(k.Prop); ok {
-			return col.SortOrdinal(int(e))
-		}
-		return ^uint64(0)
+	case b.key.Var == pred.VarAdj && b.key.Prop == pred.PropLabel:
+		return uint64(b.g.EdgeLabel(e))
 	}
+	return ^uint64(0) // missing property: every entry is NULL
 }
 
-func sortOrdinals(g *storage.Graph, sorts []SortKey, e storage.EdgeID, nbr storage.VertexID) [2]uint64 {
-	var out [2]uint64
-	for i, s := range sorts {
-		out[i] = sortOrdinal(g, s, e, nbr)
-	}
-	return out
-}
-
-// SortKeyOrdinal exposes ordinal computation for executor-side binary
-// searches inside sorted lists (e.g. locating a neighbour-label segment
-// under the Ds configuration).
-func SortKeyOrdinal(g *storage.Graph, k SortKey, e storage.EdgeID, nbr storage.VertexID) uint64 {
-	return sortOrdinal(g, k, e, nbr)
-}
-
-// OrdinalOfValue maps a constant to the ordinal space of a sort key so that
+// OrdinalOfValue maps a constant to the key's ordinal space so that
 // equality segments can be located by binary search. ok is false when the
 // value cannot appear under that key.
-func OrdinalOfValue(g *storage.Graph, k SortKey, v storage.Value) (uint64, bool) {
+func (b *BoundSortKey) OrdinalOfValue(v storage.Value) (uint64, bool) {
 	if v.IsNull() {
 		return ^uint64(0), true
 	}
 	switch {
-	case k.Prop == pred.PropID:
+	case b.key.Prop == pred.PropID:
 		if v.Kind != storage.KindInt {
 			return 0, false
 		}
 		return uint64(uint32(v.I)), true
-	case k.Prop == pred.PropLabel:
+	case b.key.Prop == pred.PropLabel:
 		var id storage.LabelID
 		var ok bool
-		if k.Var == pred.VarNbr {
-			id, ok = g.Catalog().LookupVertexLabel(v.S)
+		if b.key.Var == pred.VarNbr {
+			id, ok = b.g.Catalog().LookupVertexLabel(v.S)
 		} else {
-			id, ok = g.Catalog().LookupEdgeLabel(v.S)
+			id, ok = b.g.Catalog().LookupEdgeLabel(v.S)
 		}
 		if !ok {
 			return 0, false
 		}
 		return uint64(id), true
-	default:
-		var col *storage.Column
-		var ok bool
-		if k.Var == pred.VarNbr {
-			col, ok = g.VertexColumn(k.Prop)
-		} else {
-			col, ok = g.EdgeColumn(k.Prop)
-		}
-		if !ok {
-			return 0, false
-		}
-		return valueOrdinal(col, v)
+	case b.col == nil:
+		return 0, false
 	}
+	return valueOrdinal(b.col, v)
+}
+
+// boundSorts is an index configuration's sort keys bound to one graph.
+type boundSorts struct {
+	keys [2]BoundSortKey
+	n    int
+}
+
+func bindSorts(g *storage.Graph, sorts []SortKey) boundSorts {
+	var b boundSorts
+	for i, k := range sorts {
+		b.keys[i] = BindSortKey(g, k)
+	}
+	b.n = len(sorts)
+	return b
+}
+
+// ordinals computes an entry's ordinal under every sort key (unused slots
+// stay zero).
+func (b *boundSorts) ordinals(e storage.EdgeID, nbr storage.VertexID) [2]uint64 {
+	var out [2]uint64
+	for i := 0; i < b.n; i++ {
+		out[i] = b.keys[i].Ordinal(e, nbr)
+	}
+	return out
+}
+
+// OrdinalOfValue maps a constant to the ordinal space of sort key k over g
+// (see BoundSortKey.OrdinalOfValue), for one-off lookups such as planning.
+func OrdinalOfValue(g *storage.Graph, k SortKey, v storage.Value) (uint64, bool) {
+	b := BindSortKey(g, k)
+	return b.OrdinalOfValue(v)
 }
 
 func valueOrdinal(col *storage.Column, v storage.Value) (uint64, bool) {

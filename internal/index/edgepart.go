@@ -126,27 +126,29 @@ func (ep *EdgePartitioned) build() error {
 	ep.levels = levels
 
 	adjDir := ep.def.View.Dir.AdjDirection()
-	resolved := ep.def.View.Pred.ResolveNbr(adjDir == FW)
+	// The predicate and sort keys are bound once, over the graph this build
+	// reads; workers share the (read-only) bindings.
+	resolved := ep.def.View.Pred.ResolveNbr(adjDir == FW).Bind(g)
+	sorts := bindSorts(g, ep.def.Cfg.Sorts)
 	numEdges := g.NumEdges()
 	c := p.dirCSR(adjDir)
 	nbrs, eids := c.Nbrs(), c.EIDs()
+	builder := csr.NewOffsetBuilder(numEdges, levelCards(levels))
 
-	type shardResult struct {
-		entries []csr.OffsetEntry
-		codes   [][]uint16
-	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > numEdges {
 		workers = 1
 	}
-	results := make([]shardResult, workers)
+	// Workers place each entry in its bucket themselves (Place only reads
+	// the builder's strides), so no per-pair copy of the codes is kept.
+	results := make([][]csr.OffsetEntry, workers)
 	var wg sync.WaitGroup
 	chunk := (numEdges + workers - 1) / workers
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var res shardResult
+			var res []csr.OffsetEntry
 			var codeBuf []uint16
 			lo, hi := w*chunk, (w+1)*chunk
 			if hi > numEdges {
@@ -162,16 +164,15 @@ func (ep *EdgePartitioned) build() error {
 				for pos := rlo; pos < rhi; pos++ {
 					eadj := storage.EdgeID(eids[pos])
 					nbr := storage.VertexID(nbrs[pos])
-					if !resolved.Eval(pred.EdgeCtx{G: g, Adj: eadj, Bound: eb, HasBound: true}) {
+					if !resolved.Eval(pred.EdgeCtx{Adj: eadj, Bound: eb, HasBound: true}) {
 						continue
 					}
 					codeBuf = codesFor(levels, eadj, nbr, codeBuf)
-					res.entries = append(res.entries, csr.OffsetEntry{
+					res = append(res, builder.Place(csr.OffsetEntry{
 						Owner:  uint32(eb),
 						Offset: pos - rlo,
-						Sort:   sortOrdinals(g, ep.def.Cfg.Sorts, eadj, nbr),
-					})
-					res.codes = append(res.codes, append([]uint16(nil), codeBuf...))
+						Sort:   sorts.ordinals(eadj, nbr),
+					}, codeBuf))
 				}
 			}
 			results[w] = res
@@ -179,11 +180,14 @@ func (ep *EdgePartitioned) build() error {
 	}
 	wg.Wait()
 
-	builder := csr.NewOffsetBuilder(numEdges, levelCards(levels))
+	total := 0
 	for _, res := range results {
-		for i, e := range res.entries {
-			builder.Add(e, res.codes[i])
-		}
+		total += len(res)
+	}
+	builder.Reserve(total)
+	for w, res := range results {
+		builder.AddPlaced(res)
+		results[w] = nil
 	}
 	ep.lists = builder.Build(func(owner uint32) uint32 {
 		eb := storage.EdgeID(owner)
@@ -275,7 +279,8 @@ func (ep *EdgePartitioned) List(eb storage.EdgeID, codes []uint16) AdjList {
 func (ep *EdgePartitioned) applyInsert(e storage.EdgeID) bool {
 	g := ep.primary.g
 	adjDir := ep.def.View.Dir.AdjDirection()
-	resolved := ep.ResolvedPred()
+	resolved := ep.ResolvedPred().Bind(g)
+	sorts := bindSorts(g, ep.def.Cfg.Sorts)
 
 	// Step 1: e is a candidate eadj for existing bound edges. The bound
 	// edges adjacent to e are those whose owner vertex equals e's "anchor":
@@ -297,7 +302,9 @@ func (ep *EdgePartitioned) applyInsert(e storage.EdgeID) bool {
 	}
 	cand := ep.primary.List(boundDir, anchor, nil)
 	levels := ep.levels
-	codes, ok := codesForInsert(g, levels, e, nbr)
+	var ic insertCoder
+	ic.bind(g, levels)
+	codes, ok := ic.codes(e, nbr)
 	if !ok {
 		return false
 	}
@@ -306,10 +313,10 @@ func (ep *EdgePartitioned) applyInsert(e storage.EdgeID) bool {
 		if eb == e {
 			continue
 		}
-		if resolved.Eval(pred.EdgeCtx{G: g, Adj: e, Bound: eb, HasBound: true}) {
+		if resolved.Eval(pred.EdgeCtx{Adj: e, Bound: eb, HasBound: true}) {
 			ep.buf[uint64(eb)] = append(ep.buf[uint64(eb)], bufEntry{
 				nbr: uint32(nbr), eid: uint64(e),
-				sort:  sortOrdinals(g, ep.def.Cfg.Sorts, e, nbr),
+				sort:  sorts.ordinals(e, nbr),
 				codes: codes,
 			})
 		}
@@ -323,14 +330,14 @@ func (ep *EdgePartitioned) applyInsert(e storage.EdgeID) bool {
 		if ae == e {
 			continue
 		}
-		if resolved.Eval(pred.EdgeCtx{G: g, Adj: ae, Bound: e, HasBound: true}) {
-			aCodes, ok := codesForInsert(g, levels, ae, an)
+		if resolved.Eval(pred.EdgeCtx{Adj: ae, Bound: e, HasBound: true}) {
+			aCodes, ok := ic.codes(ae, an)
 			if !ok {
 				return false
 			}
 			ep.buf[uint64(e)] = append(ep.buf[uint64(e)], bufEntry{
 				nbr: uint32(an), eid: uint64(ae),
-				sort:  sortOrdinals(g, ep.def.Cfg.Sorts, ae, an),
+				sort:  sorts.ordinals(ae, an),
 				codes: aCodes,
 			})
 		}

@@ -129,10 +129,11 @@ func patchPrimaryCSR(base *Primary, dir Direction, g2 *storage.Graph, d *Delta, 
 		del += len(r)
 	}
 	pt := csr.NewPatcher(old, numOwners, old.Len()+ins-del)
+	sorts := bindSorts(base.g, base.cfg.Sorts)
 	prev := uint32(0)
 	for _, owner := range dirty {
 		pt.CopyRange(prev, owner)
-		rebuildPrimaryOwner(pt, base, dir, owner, d)
+		rebuildPrimaryOwner(pt, base, &sorts, dir, owner, d)
 		prev = owner + 1
 	}
 	pt.CopyRange(prev, uint32(numOwners))
@@ -142,8 +143,9 @@ func patchPrimaryCSR(base *Primary, dir Direction, g2 *storage.Graph, d *Delta, 
 // rebuildPrimaryOwner re-packs one dirty owner: the base entries (minus
 // pending deletes) interleaved with the delta's insert run in full index
 // order — exactly the walk Delta.Splice performs on the read path, here
-// emitting bucket codes for the patcher.
-func rebuildPrimaryOwner(pt *csr.Patcher, base *Primary, dir Direction, owner uint32, d *Delta) {
+// emitting bucket codes for the patcher. sorts is the base's sort keys
+// bound to the base graph.
+func rebuildPrimaryOwner(pt *csr.Patcher, base *Primary, sorts *boundSorts, dir Direction, owner uint32, d *Delta) {
 	old := base.dirCSR(dir)
 	run := d.runs[dir][owner]
 	dels := d.dels[dir][owner]
@@ -166,7 +168,7 @@ func rebuildPrimaryOwner(pt *csr.Patcher, base *Primary, dir Direction, owner ui
 			cur := bufEntry{
 				nbr:   uint32(nb),
 				eid:   uint64(e),
-				sort:  sortOrdinals(base.g, base.cfg.Sorts, e, nb),
+				sort:  sorts.ordinals(e, nb),
 				codes: codes,
 			}
 			for ri < len(run) && bufLess(run[ri], cur) {
@@ -226,6 +228,7 @@ func splitSecEntries(es []secEntry) (offs, buckets []uint32) {
 func incrementalVertexPartitioned(v *VertexPartitioned, np *Primary, d *Delta, dirty dirtyOwners) (*VertexPartitioned, bool) {
 	nv := &VertexPartitioned{def: v.def, primary: np, dirs: make(map[Direction]*vpDir, len(v.dirs))}
 	g := np.g
+	sorts := bindSorts(g, v.def.Cfg.Sorts)
 	for dir, od := range v.dirs {
 		var levels []level
 		if od.shared {
@@ -238,7 +241,7 @@ func incrementalVertexPartitioned(v *VertexPartitioned, np *Primary, d *Delta, d
 			levels = fresh
 		}
 		c := np.dirCSR(dir)
-		resolved := v.def.View.Pred.ResolveNbr(dir == FW)
+		resolved := v.def.View.Pred.ResolveNbr(dir == FW).Bind(g)
 		pt := csr.NewOffsetPatcher(od.lists, g.NumVertices())
 		var cb [8]uint16
 		for _, owner := range dirty[dir] {
@@ -248,14 +251,14 @@ func incrementalVertexPartitioned(v *VertexPartitioned, np *Primary, d *Delta, d
 			for pos := lo; pos < hi; pos++ {
 				e := storage.EdgeID(eids[pos])
 				nbr := storage.VertexID(nbrs[pos])
-				if !resolved.IsTrue() && !resolved.Eval(pred.EdgeCtx{G: g, Adj: e}) {
+				if !resolved.IsTrue() && !resolved.Eval(pred.EdgeCtx{Adj: e}) {
 					continue
 				}
 				codes := codesFor(levels, e, nbr, cb[:0])
 				es = append(es, secEntry{
 					off:    pos - lo,
 					bucket: od.lists.BucketOf(codes),
-					sort:   sortOrdinals(g, v.def.Cfg.Sorts, e, nbr),
+					sort:   sorts.ordinals(e, nbr),
 				})
 			}
 			sortSecEntries(es)
@@ -303,7 +306,8 @@ func incrementalEdgePartitioned(ep *EdgePartitioned, np *Primary, d *Delta, dirt
 	if ep.def.View.Dir.BoundIsDst() {
 		boundDir = BW
 	}
-	resolved := ep.def.View.Pred.ResolveNbr(adjDir == FW)
+	resolved := ep.def.View.Pred.ResolveNbr(adjDir == FW).Bind(g)
+	sorts := bindSorts(g, ep.def.Cfg.Sorts)
 	ownerVertex := func(eb storage.EdgeID) storage.VertexID {
 		if ep.def.View.Dir.BoundIsDst() {
 			return g.Dst(eb)
@@ -372,14 +376,14 @@ func incrementalEdgePartitioned(ep *EdgePartitioned, np *Primary, d *Delta, dirt
 		for pos := lo; pos < hi; pos++ {
 			eadj := storage.EdgeID(eids[pos])
 			nbr := storage.VertexID(nbrs[pos])
-			if !resolved.Eval(pred.EdgeCtx{G: g, Adj: eadj, Bound: eb, HasBound: true}) {
+			if !resolved.Eval(pred.EdgeCtx{Adj: eadj, Bound: eb, HasBound: true}) {
 				continue
 			}
 			codes := codesFor(levels, eadj, nbr, cb[:0])
 			es = append(es, secEntry{
 				off:    pos - lo,
 				bucket: ep.lists.BucketOf(codes),
-				sort:   sortOrdinals(g, ep.def.Cfg.Sorts, eadj, nbr),
+				sort:   sorts.ordinals(eadj, nbr),
 			})
 		}
 		sortSecEntries(es)

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"github.com/aplusdb/aplus/internal/csr"
-	"github.com/aplusdb/aplus/internal/pred"
 	"github.com/aplusdb/aplus/internal/storage"
 )
 
@@ -61,6 +60,7 @@ func BuildPrimary(g *storage.Graph, cfg Config) (*Primary, error) {
 	bb := csr.NewBuilder(g.NumVertices(), cards)
 	fb.Reserve(g.NumLiveEdges())
 	bb.Reserve(g.NumLiveEdges())
+	sorts := bindSorts(g, cfg.Sorts)
 	var buf []uint16
 	for i := 0; i < g.NumEdges(); i++ {
 		e := storage.EdgeID(i)
@@ -71,12 +71,12 @@ func BuildPrimary(g *storage.Graph, cfg Config) (*Primary, error) {
 		buf = codesFor(levels, e, dst, buf)
 		fb.Add(csr.Entry{
 			Owner: uint32(src), Nbr: uint32(dst), EID: uint64(e),
-			Sort: sortOrdinals(g, cfg.Sorts, e, dst),
+			Sort: sorts.ordinals(e, dst),
 		}, buf)
 		buf = codesFor(levels, e, src, buf)
 		bb.Add(csr.Entry{
 			Owner: uint32(dst), Nbr: uint32(src), EID: uint64(e),
-			Sort: sortOrdinals(g, cfg.Sorts, e, src),
+			Sort: sorts.ordinals(e, src),
 		}, buf)
 	}
 	p.fw = fb.Build()
@@ -215,6 +215,7 @@ func mergeBuffered(g *storage.Graph, base AdjList, matching []bufEntry, levels [
 	nbrs := make([]uint32, 0, n+len(matching))
 	eids := make([]uint64, 0, n+len(matching))
 	bi := 0
+	bs := bindSorts(g, sorts)
 	var codeBuf []uint16
 	for i := 0; i < n; i++ {
 		nb, e := base.Get(i)
@@ -222,7 +223,7 @@ func mergeBuffered(g *storage.Graph, base AdjList, matching []bufEntry, levels [
 			continue
 		}
 		codeBuf = codesFor(levels, e, nb, codeBuf)
-		cur := bufEntry{nbr: uint32(nb), eid: uint64(e), sort: sortOrdinals(g, sorts, e, nb), codes: codeBuf}
+		cur := bufEntry{nbr: uint32(nb), eid: uint64(e), sort: bs.ordinals(e, nb), codes: codeBuf}
 		for bi < len(matching) && bufLess(matching[bi], cur) {
 			nbrs = append(nbrs, matching[bi].nbr)
 			eids = append(eids, matching[bi].eid)
@@ -267,16 +268,19 @@ func prefixMatches(entryCodes, prefix []uint16) bool {
 // partition levels, which requires a rebuild instead.
 func (p *Primary) applyInsert(e storage.EdgeID) bool {
 	src, dst := p.g.Src(e), p.g.Dst(e)
-	fwCodes, ok1 := codesForInsert(p.g, p.levels, e, dst)
-	bwCodes, ok2 := codesForInsert(p.g, p.levels, e, src)
+	var ic insertCoder
+	ic.bind(p.g, p.levels)
+	fwCodes, ok1 := ic.codes(e, dst)
+	bwCodes, ok2 := ic.codes(e, src)
 	if !ok1 || !ok2 {
 		return false
 	}
+	sorts := bindSorts(p.g, p.cfg.Sorts)
 	p.fwBuf[uint32(src)] = append(p.fwBuf[uint32(src)], bufEntry{
-		nbr: uint32(dst), eid: uint64(e), sort: sortOrdinals(p.g, p.cfg.Sorts, e, dst), codes: fwCodes,
+		nbr: uint32(dst), eid: uint64(e), sort: sorts.ordinals(e, dst), codes: fwCodes,
 	})
 	p.bwBuf[uint32(dst)] = append(p.bwBuf[uint32(dst)], bufEntry{
-		nbr: uint32(src), eid: uint64(e), sort: sortOrdinals(p.g, p.cfg.Sorts, e, src), codes: bwCodes,
+		nbr: uint32(src), eid: uint64(e), sort: sorts.ordinals(e, src), codes: bwCodes,
 	})
 	p.buffered++
 	return true
@@ -329,10 +333,4 @@ func (p *Primary) SortKeys() []SortKey { return p.cfg.Sorts }
 // tiebreak appended, which is the complete ordering of the innermost lists.
 func (p *Primary) EffectiveSorts() []SortKey {
 	return append(append([]SortKey(nil), p.cfg.Sorts...), NbrIDSort)
-}
-
-// ResolvePredicate rewrites vnbr references for a direction so the result
-// can be evaluated with pred.EdgeCtx.
-func ResolvePredicate(q pred.Predicate, dir Direction) pred.Predicate {
-	return q.ResolveNbr(dir == FW)
 }

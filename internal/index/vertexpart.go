@@ -89,7 +89,8 @@ func (v *VertexPartitioned) buildDir(dir Direction) (*vpDir, error) {
 		builder = csr.NewOffsetBuilder(g.NumVertices(), levelCards(levels))
 	}
 
-	resolved := v.def.View.Pred.ResolveNbr(dir == FW)
+	resolved := v.def.View.Pred.ResolveNbr(dir == FW).Bind(g)
+	sorts := bindSorts(g, v.def.Cfg.Sorts)
 	c := p.dirCSR(dir)
 	nbrs, eids := c.Nbrs(), c.EIDs()
 	var codeBuf []uint16
@@ -98,14 +99,14 @@ func (v *VertexPartitioned) buildDir(dir Direction) (*vpDir, error) {
 		for pos := lo; pos < hi; pos++ {
 			e := storage.EdgeID(eids[pos])
 			nbr := storage.VertexID(nbrs[pos])
-			if !resolved.IsTrue() && !resolved.Eval(pred.EdgeCtx{G: g, Adj: e}) {
+			if !resolved.IsTrue() && !resolved.Eval(pred.EdgeCtx{Adj: e}) {
 				continue
 			}
 			codeBuf = codesFor(levels, e, nbr, codeBuf)
 			builder.Add(csr.OffsetEntry{
 				Owner:  owner,
 				Offset: pos - lo,
-				Sort:   sortOrdinals(g, v.def.Cfg.Sorts, e, nbr),
+				Sort:   sorts.ordinals(e, nbr),
 			}, codeBuf)
 		}
 	}
@@ -205,9 +206,10 @@ func (v *VertexPartitioned) EffectiveSorts() []SortKey {
 // required (unknown categorical value).
 func (v *VertexPartitioned) applyInsert(e storage.EdgeID) bool {
 	g := v.primary.g
+	sorts := bindSorts(g, v.def.Cfg.Sorts)
 	for dir, d := range v.dirs {
-		resolved := v.def.View.Pred.ResolveNbr(dir == FW)
-		if !resolved.IsTrue() && !resolved.Eval(pred.EdgeCtx{G: g, Adj: e}) {
+		resolved := v.def.View.Pred.ResolveNbr(dir == FW).Bind(g)
+		if !resolved.IsTrue() && !resolved.Eval(pred.EdgeCtx{Adj: e}) {
 			continue
 		}
 		owner, nbr := g.Src(e), g.Dst(e)
@@ -218,13 +220,15 @@ func (v *VertexPartitioned) applyInsert(e storage.EdgeID) bool {
 		if d.shared {
 			levels = v.primary.levels
 		}
-		codes, ok := codesForInsert(g, levels, e, nbr)
+		var ic insertCoder
+		ic.bind(g, levels)
+		codes, ok := ic.codes(e, nbr)
 		if !ok {
 			return false
 		}
 		d.buf[uint32(owner)] = append(d.buf[uint32(owner)], bufEntry{
 			nbr: uint32(nbr), eid: uint64(e),
-			sort:  sortOrdinals(g, v.def.Cfg.Sorts, e, nbr),
+			sort:  sorts.ordinals(e, nbr),
 			codes: codes,
 		})
 	}

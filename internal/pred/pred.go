@@ -204,84 +204,6 @@ func (p Predicate) String() string {
 	return strings.Join(parts, " AND ")
 }
 
-// EdgeCtx supplies the entity bindings needed to evaluate a predicate
-// against one adjacency entry.
-type EdgeCtx struct {
-	G   *storage.Graph
-	Adj storage.EdgeID
-	// Bound is the bound edge for 2-hop views; HasBound gates it.
-	Bound    storage.EdgeID
-	HasBound bool
-}
-
-// value resolves a variable reference.
-func (c EdgeCtx) value(r Ref) storage.Value {
-	switch r.Var {
-	case VarAdj:
-		return edgeValue(c.G, c.Adj, r.Prop)
-	case VarBound:
-		if !c.HasBound {
-			return storage.NullValue
-		}
-		return edgeValue(c.G, c.Bound, r.Prop)
-	case VarSrc:
-		return vertexValue(c.G, c.G.Src(c.Adj), r.Prop)
-	case VarDst:
-		return vertexValue(c.G, c.G.Dst(c.Adj), r.Prop)
-	case VarNbr:
-		// The neighbour of an adjacency entry depends on direction; the
-		// index layer resolves VarNbr to VarSrc or VarDst before
-		// evaluation. Seeing it here is a bug.
-		panic("pred: unresolved vnbr reference; resolve direction first")
-	}
-	return storage.NullValue
-}
-
-func edgeValue(g *storage.Graph, e storage.EdgeID, prop string) storage.Value {
-	switch prop {
-	case PropLabel:
-		return storage.Str(g.Catalog().EdgeLabelName(g.EdgeLabel(e)))
-	case PropID:
-		return storage.Int(int64(e))
-	default:
-		return g.EdgeProp(e, prop)
-	}
-}
-
-func vertexValue(g *storage.Graph, v storage.VertexID, prop string) storage.Value {
-	switch prop {
-	case PropLabel:
-		return storage.Str(g.Catalog().VertexLabelName(g.VertexLabel(v)))
-	case PropID:
-		return storage.Int(int64(v))
-	default:
-		return g.VertexProp(v, prop)
-	}
-}
-
-// Eval evaluates the predicate under ctx. NULL operands fail every
-// comparison except NE-against-non-null semantics are deliberately strict:
-// any NULL operand makes the term false.
-func (p Predicate) Eval(ctx EdgeCtx) bool {
-	for _, t := range p.Terms {
-		if !evalTerm(t, ctx) {
-			return false
-		}
-	}
-	return true
-}
-
-func evalTerm(t Term, ctx EdgeCtx) bool {
-	l := ctx.value(t.Left)
-	var r storage.Value
-	if t.IsConst() {
-		r = t.Const
-	} else {
-		r = ApplyShift(ctx.value(t.Right), t.Shift)
-	}
-	return Compare(l, t.Op, r)
-}
-
 // ApplyShift adds a constant to a numeric value (NULL and non-numeric
 // values pass through and will fail the comparison).
 func ApplyShift(v storage.Value, shift int64) storage.Value {

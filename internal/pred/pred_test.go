@@ -9,7 +9,7 @@ import (
 func TestEvalConstTerms(t *testing.T) {
 	g := storage.ExampleGraph()
 	// t4 is a Wire of 200 EUR from v1.
-	ctx := EdgeCtx{G: g, Adj: storage.Transfer(4)}
+	ctx := EdgeCtx{Adj: storage.Transfer(4)}
 	cases := []struct {
 		term Term
 		want bool
@@ -27,7 +27,7 @@ func TestEvalConstTerms(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := Predicate{}.And(c.term)
-		if got := p.Eval(ctx); got != c.want {
+		if got := evalChecked(t, p, g, ctx); got != c.want {
 			t.Errorf("Eval(%v) = %v, want %v", c.term, got, c.want)
 		}
 	}
@@ -40,18 +40,18 @@ func TestEvalBoundEdgeTerms(t *testing.T) {
 		And(VarTerm(VarBound, "date", LT, VarAdj, "date")).
 		And(VarTerm(VarBound, "amt", GT, VarAdj, "amt"))
 	// t13 bound, t19 adjacent: satisfied.
-	ctx := EdgeCtx{G: g, Adj: storage.Transfer(19), Bound: storage.Transfer(13), HasBound: true}
-	if !p.Eval(ctx) {
+	ctx := EdgeCtx{Adj: storage.Transfer(19), Bound: storage.Transfer(13), HasBound: true}
+	if !evalChecked(t, p, g, ctx) {
 		t.Error("t19 should satisfy the MoneyFlow predicate for t13")
 	}
 	// t13 bound, t14 adjacent: amount 10 is not < 10.
 	ctx.Adj = storage.Transfer(14)
-	if p.Eval(ctx) {
+	if evalChecked(t, p, g, ctx) {
 		t.Error("t14 should not satisfy (amount not smaller)")
 	}
 	// Without a bound edge, bound terms are NULL and fail.
 	ctx.HasBound = false
-	if p.Eval(ctx) {
+	if evalChecked(t, p, g, ctx) {
 		t.Error("missing bound edge must fail")
 	}
 }

@@ -12,13 +12,13 @@ func TestShiftEval(t *testing.T) {
 	// t13: amt 10, date 13. t19: amt 5, date 19.
 	// eb.amt < eadj.amt + 100  with eb=t13 (10), eadj=t19 (5): 10 < 105.
 	p := Predicate{}.And(VarTermShift(VarBound, storage.PropAmount, LT, VarAdj, storage.PropAmount, 100))
-	ctx := EdgeCtx{G: g, Adj: storage.Transfer(19), Bound: storage.Transfer(13), HasBound: true}
-	if !p.Eval(ctx) {
+	ctx := EdgeCtx{Adj: storage.Transfer(19), Bound: storage.Transfer(13), HasBound: true}
+	if !evalChecked(t, p, g, ctx) {
 		t.Error("banded predicate should hold")
 	}
 	// With shift 4: 10 < 9 fails.
 	p2 := Predicate{}.And(VarTermShift(VarBound, storage.PropAmount, LT, VarAdj, storage.PropAmount, 4))
-	if p2.Eval(ctx) {
+	if evalChecked(t, p2, g, ctx) {
 		t.Error("tight band should fail")
 	}
 }
