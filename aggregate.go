@@ -3,8 +3,7 @@ package aplus
 // Public aggregate API: COUNT/SUM/MIN/MAX over an integer vertex property,
 // evaluated with factorized aggregate pushdown (see internal/exec/agg.go).
 // Aggregates route through the same machinery as counts — governance,
-// admission, the plan cache, morsel parallelism with work stealing, and
-// shard fan-out — and their match count and i-cost are bit-identical to
+// admission, the plan cache, morsel parallelism, and shard fan-out — and their match count and i-cost are bit-identical to
 // full enumeration.
 
 import (
@@ -48,8 +47,8 @@ func ParseAggFunc(s string) (AggFunc, error) {
 // missing or non-integer are NULLs: they count toward Rows but contribute
 // nothing to Value; Valid reports whether any non-null value was seen
 // (always true for AggCount). Aggregates are integer-exact — any
-// partitioning of the work across workers, stolen sub-morsels, or shards
-// yields a bit-identical AggValue.
+// partitioning of the work across workers, morsels, or shards yields a
+// bit-identical AggValue.
 type AggValue struct {
 	// Rows is the number of matches.
 	Rows int64

@@ -33,8 +33,8 @@ func aggTestDB(t *testing.T) *DB {
 
 // TestAggregateMatchesEnumeration pins the public aggregate contract: each
 // function agrees exactly with a streamed enumeration that reads the same
-// property, at Parallelism 1 and 8 (the parallel path merges per-worker and
-// stolen partials), with NULLs excluded from the value but counted in Rows.
+// property, at Parallelism 1 and 8 (the parallel path merges per-worker
+// partials), with NULLs excluded from the value but counted in Rows.
 func TestAggregateMatchesEnumeration(t *testing.T) {
 	db := aggTestDB(t)
 	const q = "MATCH a-[e1]->b, b-[e2]->c"

@@ -163,8 +163,8 @@ func main() {
 	// Aggregates: DB.Aggregate computes COUNT/SUM/MIN/MAX over all matches
 	// of a query without materializing them — trailing fan-outs are folded
 	// arithmetically (the same pushdown Count uses), and the parallel
-	// executor merges per-worker (and work-stolen) partials exactly, so the
-	// result is bit-identical at any Parallelism. SUM/MIN/MAX read an
+	// executor merges per-worker partials exactly, so the result is
+	// bit-identical at any Parallelism. SUM/MIN/MAX read an
 	// integer property of one matched vertex variable; matches missing the
 	// property count toward Rows but not the value (Valid reports whether
 	// any non-NULL value was seen). Also available as the `aggregate` wire

@@ -6,9 +6,9 @@ package exec
 // product of list lengths — the match count; for the other aggregates the
 // same boundary contributes the aggregated value times that multiplicity.
 // Aggregates are int64-only: integer addition, min, and max are associative
-// and commutative, so any partitioning of the work (morsels, stolen
-// sub-morsels, shards, folded vs enumerated suffixes) yields bit-identical
-// results — the same merge proof as the metric counters.
+// and commutative, so any partitioning of the work (morsels, shards, folded
+// vs enumerated suffixes) yields bit-identical results — the same merge
+// proof as the metric counters.
 
 import (
 	"time"
@@ -252,10 +252,9 @@ func (p *Plan) Aggregate(rt *Runtime, spec AggSpec) AggResult {
 	return rt.pipelineFor(p).run(p.countFoldStart(), nil, spec)
 }
 
-// AggregateParallel executes the aggregate with a morsel-driven worker pool
-// (work stealing included). Each worker runs the operator pipeline (with
-// the same fold as the serial path) over its own Binding, Runtime and
-// Scratch arena; per-worker partials merge exactly and ICost/PredEvals are
+// AggregateParallel executes the aggregate with a morsel-driven worker
+// pool. Each worker runs the operator pipeline (with the same fold as the
+// serial path) over its own Binding, Runtime and Scratch arena; per-worker partials merge exactly and ICost/PredEvals are
 // merged into rt after the barrier. Because every morsel is processed
 // exactly once, the counters are sums, and folding charges the i-cost
 // enumeration would have, the result and merged metrics are bit-identical

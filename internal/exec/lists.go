@@ -95,8 +95,8 @@ func (r ListRef) fetchBase(rt *Runtime, b *Binding, codes []uint16) index.AdjLis
 // pinned snapshot's delta overlay into primary fetches (writing the merged
 // entries into list position li's reusable scratch buffer, so steady-state
 // fetches stay allocation-free), without segment restriction or i-cost
-// accounting. Fetching the same (binding, codes) twice — e.g. a thief
-// re-materializing a stolen sub-morsel's list — yields identical entries.
+// accounting. Fetching the same (binding, codes) twice yields identical
+// entries.
 // Secondary-index fetches never need splicing: the planner hides secondary
 // indexes while a snapshot carries a non-empty delta.
 func (r ListRef) fetchSpliced(rt *Runtime, sc *opScratch, li int, b *Binding, codes []uint16) index.AdjList {

@@ -49,10 +49,6 @@ type ParallelOptions struct {
 	// installed. It exists so tests can inject a panic into a live worker
 	// and assert the pool converts it to a *PanicError instead of crashing.
 	InjectWorkerFault func(worker int)
-	// DisableSteal turns off pipeline-deep work stealing (see steal.go),
-	// leaving root-scan morsel partitioning only. Counts and metrics are
-	// bit-identical either way; parity tests use this to prove it.
-	DisableSteal bool
 }
 
 func (o ParallelOptions) workers() int {
@@ -140,13 +136,6 @@ func (p *Plan) runSerial(rt *Runtime, o ParallelOptions, stop int, spec AggSpec,
 // (without spawning anything) when the plan's root is not partitionable,
 // signalling a serial fallback.
 //
-// When the plan has a steal point (see steal.go) and stealing is enabled,
-// workers additionally publish oversized op-1 adjacency tails as sub-
-// morsels to a shared lock-free queue and drain it when the cursor runs
-// dry: morselActive counts workers inside root ranges (the only publishers),
-// so once the cursor is exhausted, the counter is zero, and a pop comes up
-// empty, no task can ever appear again and the worker may park.
-//
 // Worker panics are recovered inside the worker, park the pool via stopAll,
 // and surface as the returned error (first panic wins). Per-worker metric
 // counters accumulated before a panic or a governor trip are still merged
@@ -165,23 +154,15 @@ func (p *Plan) runMorsels(rt *Runtime, o ParallelOptions, workers int, stop int,
 	if workers > numMorsels {
 		workers = numMorsels
 	}
-	var sq *stealQueue
-	var stealOp *ExtendIntersectOp
-	if workers > 1 && !o.DisableSteal {
-		if stealOp = p.stealPoint(stop); stealOp != nil {
-			sq = newStealQueue(stealQueueCap, p.NumV, p.NumE)
-		}
-	}
 	// Workers accumulate in their pipeline-local counters and store the
 	// results here once at exit; wg.Wait orders those stores before the merge.
 	aggs := make([]AggResult, workers)
 	var (
-		cursor       atomic.Int64
-		morselActive atomic.Int64
-		stopAll      atomic.Bool
-		wg           sync.WaitGroup
-		errMu        sync.Mutex
-		poolErr      error
+		cursor  atomic.Int64
+		stopAll atomic.Bool
+		wg      sync.WaitGroup
+		errMu   sync.Mutex
+		poolErr error
 	)
 	rts := make([]*Runtime, workers)
 	for w := 0; w < workers; w++ {
@@ -218,110 +199,45 @@ func (p *Plan) runMorsels(rt *Runtime, o ParallelOptions, workers int, stop int,
 			pl.setAgg(spec)
 			pl.beginRun()
 			rootNext := pl.next[1]
-			var sr *stealRun
-			if sq != nil {
-				sr = newStealRun(pl, stealOp, sq, morsel)
-				rootNext = sr.rootNext
-			}
-			drain := false
-			spins := 0
 			for !stopAll.Load() {
-				// Stolen sub-morsels take priority over fresh morsels: they
-				// bound the queue's occupancy and finish hub tails sooner.
-				if sr != nil {
-					if sq.tryPop(pl.b, &sr.snbrs, &sr.seids) {
-						spins = 0
-						if !sr.runStolen() {
-							stopAll.Store(true)
-							break
-						}
-						// Task boundary: same governance poll as a morsel.
-						if pl.govEvery != 0 && !pl.govFlush() {
-							stopAll.Store(true)
-							break
-						}
-						continue
-					}
-				}
-				if !drain {
-					m := int(cursor.Add(1)) - 1
-					if m >= numMorsels {
-						if sr == nil {
-							break
-						}
-						drain = true
-						continue
-					}
-					lo := m * morsel
-					hi := lo + morsel
-					if hi > size {
-						hi = size
-					}
-					if sr != nil {
-						// Root ranges are the only publishers; the counter
-						// lets drained workers detect quiescence.
-						morselActive.Add(1)
-					}
-					var ok bool
-					if pl.tr != nil {
-						// The worker loop bypasses step(0) (it drives the root
-						// by range), so the traced path measures the root span
-						// here: one call per morsel, inclusive deltas.
-						sp := &pl.tr.spans[0]
-						sp.Calls++
-						pl.tr.Morsels++
-						icost0, preds0 := wrt.ICost, wrt.PredEvals
-						t0 := time.Now()
-						ok = root.runRange(wrt, pl.scratch.op(0), pl.b, lo, hi, rootNext)
-						sp.Nanos += int64(time.Since(t0))
-						sp.ICost += wrt.ICost - icost0
-						sp.PredEvals += wrt.PredEvals - preds0
-					} else {
-						ok = root.runRange(wrt, pl.scratch.op(0), pl.b, lo, hi, rootNext)
-					}
-					if sr != nil {
-						morselActive.Add(-1)
-					}
-					if !ok {
-						// The pipeline aborted: emit returned false, or a mid-
-						// morsel governor poll tripped. Park the whole pool.
-						stopAll.Store(true)
-						break
-					}
-					// Morsel boundary: publish this worker's counter deltas and
-					// poll the governor, bounding cancellation latency by one
-					// morsel of work.
-					if pl.govEvery != 0 && !pl.govFlush() {
-						stopAll.Store(true)
-						break
-					}
-					continue
-				}
-				// Drain phase: the cursor is exhausted but in-flight root
-				// ranges may still publish. Once none remain, their pushes
-				// are visible (the decrement orders after them), so a final
-				// empty pop proves the queue stays empty forever.
-				if morselActive.Load() == 0 {
-					if sq.tryPop(pl.b, &sr.snbrs, &sr.seids) {
-						if !sr.runStolen() {
-							stopAll.Store(true)
-							break
-						}
-						if pl.govEvery != 0 && !pl.govFlush() {
-							stopAll.Store(true)
-							break
-						}
-						continue
-					}
+				m := int(cursor.Add(1)) - 1
+				if m >= numMorsels {
 					break
 				}
-				// Bounded backoff: yield first (steal pickup stays prompt on
-				// idle cores), then nap briefly so spinning drainers don't
-				// starve the still-working owners on oversubscribed machines.
-				if spins++; spins < 64 {
-					runtime.Gosched()
+				lo := m * morsel
+				hi := lo + morsel
+				if hi > size {
+					hi = size
+				}
+				var ok bool
+				if pl.tr != nil {
+					// The worker loop bypasses step(0) (it drives the root
+					// by range), so the traced path measures the root span
+					// here: one call per morsel, inclusive deltas.
+					sp := &pl.tr.spans[0]
+					sp.Calls++
+					pl.tr.Morsels++
+					icost0, preds0 := wrt.ICost, wrt.PredEvals
+					t0 := time.Now()
+					ok = root.runRange(wrt, pl.scratch.op(0), pl.b, lo, hi, rootNext)
+					sp.Nanos += int64(time.Since(t0))
+					sp.ICost += wrt.ICost - icost0
+					sp.PredEvals += wrt.PredEvals - preds0
 				} else {
-					time.Sleep(20 * time.Microsecond)
+					ok = root.runRange(wrt, pl.scratch.op(0), pl.b, lo, hi, rootNext)
+				}
+				if !ok {
+					// The pipeline aborted: emit returned false, or a mid-
+					// morsel governor poll tripped. Park the whole pool.
+					stopAll.Store(true)
+					break
+				}
+				// Morsel boundary: publish this worker's counter deltas and
+				// poll the governor, bounding cancellation latency by one
+				// morsel of work.
+				if pl.govEvery != 0 && !pl.govFlush() {
+					stopAll.Store(true)
+					break
 				}
 			}
 			// Publish any tail counters so the governor's totals reflect the

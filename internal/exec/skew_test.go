@@ -1,12 +1,12 @@
 package exec
 
-// Work-stealing correctness: pipeline-deep stealing re-partitions oversized
-// op-1 adjacency lists across the pool, and the bit-identical oracle must
-// hold regardless — counts, i-cost, and PredEvals identical to the serial
-// run at any worker count, steal on or off, over base and delta-spliced
-// phases; the steady-state publish/pop/execute cycle allocates nothing; and
-// traced runs attribute stolen work to the executing worker while per-op
-// span sums stay bit-identical to an unstolen run.
+// Parallel execution at skew: one super-hub vertex whose adjacency list
+// dwarfs the morsel size makes the morsel that draws it far heavier than the
+// rest. The bit-identical oracle must hold regardless — counts, i-cost, and
+// PredEvals identical to the serial run at any worker count, over base and
+// delta-spliced phases; aggregate folds agree with enumeration; traced runs
+// keep per-operator span sums identical to the serial run; and the pool's
+// own coordination stays a small fixed number of allocations per run.
 
 import (
 	"testing"
@@ -58,8 +58,8 @@ func hubStore(t testing.TB, hubDeg int) *index.Store {
 }
 
 // hubPlan is the 2-hop path count: scan a0, extend a1, extend a2. Operator 1
-// is the steal point; operator 2 is the fold suffix, so stealing and count
-// (or aggregate) pushdown compose on the same run.
+// expands the hub's list; operator 2 is the fold suffix, so the skewed
+// morsel and count (or aggregate) pushdown compose on the same run.
 func hubPlan() *Plan {
 	return &Plan{
 		NumV: 3, NumE: 2,
@@ -113,31 +113,26 @@ func hubDeltaParts(t *testing.T, hubDeg int) (*index.Store, *storage.Graph, *ind
 	return s, g2, d
 }
 
-// stealConfigs is the parity grid: every worker count crossed with steal
-// enabled and disabled, at a morsel size small enough that the hub's list
-// splits into many sub-morsels.
-func stealConfigs() []ParallelOptions {
+// skewConfigs is the parity grid: every worker count at a morsel size small
+// enough that the 64-vertex root scan splits into eight morsels, one of
+// which carries the hub.
+func skewConfigs() []ParallelOptions {
 	var cfgs []ParallelOptions
 	for _, workers := range []int{1, 4, 8} {
-		for _, disable := range []bool{false, true} {
-			cfgs = append(cfgs, ParallelOptions{Workers: workers, MorselSize: 8, DisableSteal: disable})
-		}
+		cfgs = append(cfgs, ParallelOptions{Workers: workers, MorselSize: 8})
 	}
 	return cfgs
 }
 
-func TestStealParityAcrossWorkers(t *testing.T) {
+func TestSkewParityAcrossWorkers(t *testing.T) {
 	s := hubStore(t, 4096)
 	plan := hubPlan()
-	if plan.stealPoint(plan.countFoldStart()) == nil {
-		t.Fatal("hub plan has no steal point")
-	}
 	serial := NewRuntime(s)
 	want := plan.Count(serial)
 	if want == 0 {
-		t.Fatal("degenerate steal test: no matches")
+		t.Fatal("degenerate skew test: no matches")
 	}
-	for _, o := range stealConfigs() {
+	for _, o := range skewConfigs() {
 		rt := NewRuntime(s)
 		got, err := plan.CountParallel(rt, o)
 		if err != nil {
@@ -153,17 +148,17 @@ func TestStealParityAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestStealParityDeltaSplice is the same grid over a snapshot state with a
-// non-empty delta: stolen sub-morsels carry delta-spliced entries too.
-func TestStealParityDeltaSplice(t *testing.T) {
+// TestSkewParityDeltaSplice is the same grid over a snapshot state with a
+// non-empty delta: the hub's list is delta-spliced too.
+func TestSkewParityDeltaSplice(t *testing.T) {
 	s, g2, d := hubDeltaParts(t, 2048)
 	plan := hubPlan()
 	serial := NewRuntimeOver(s, g2, d)
 	want := plan.Count(serial)
 	if want == 0 {
-		t.Fatal("degenerate steal test: no matches")
+		t.Fatal("degenerate skew test: no matches")
 	}
-	for _, o := range stealConfigs() {
+	for _, o := range skewConfigs() {
 		rt := NewRuntimeOver(s, g2, d)
 		got, err := plan.CountParallel(rt, o)
 		if err != nil {
@@ -182,7 +177,7 @@ func TestStealParityDeltaSplice(t *testing.T) {
 // TestAggregateParallelParity pins the aggregate oracle on every function
 // and both fold branches (aggregated slot bound before the boundary vs
 // bound by a folded operator): the serial fold, the parallel fold at any
-// worker count with stealing on or off, and full enumeration must agree
+// worker count, and full enumeration must agree
 // exactly — values, row counts, null counts, and i-cost.
 func TestAggregateParallelParity(t *testing.T) {
 	s := hubStore(t, 1024)
@@ -212,7 +207,7 @@ func TestAggregateParallelParity(t *testing.T) {
 			if rtEnum.ICost != serial.ICost {
 				t.Errorf("%v slot %d: enumerated i-cost %d, folded %d", kind, slot, rtEnum.ICost, serial.ICost)
 			}
-			for _, o := range stealConfigs() {
+			for _, o := range skewConfigs() {
 				rt := NewRuntime(s)
 				got, err := plan.AggregateParallel(rt, o, spec)
 				if err != nil {
@@ -225,7 +220,7 @@ func TestAggregateParallelParity(t *testing.T) {
 					t.Errorf("%v slot %d %+v: metrics (%d,%d), serial (%d,%d)",
 						kind, slot, o, rt.ICost, rt.PredEvals, serial.ICost, serial.PredEvals)
 				}
-				// Parallel enumeration (stolen sub-morsels included) agrees too.
+				// Parallel enumeration agrees too.
 				rt2 := NewRuntime(s)
 				got2, err := plan.aggregateParallelStop(rt2, o, spec, len(plan.Ops))
 				if err != nil {
@@ -250,7 +245,7 @@ func TestAggregateDeltaParity(t *testing.T) {
 	if want.Rows == 0 || want.NonNull == 0 {
 		t.Fatal("degenerate delta aggregate test")
 	}
-	for _, o := range stealConfigs() {
+	for _, o := range skewConfigs() {
 		rt := NewRuntimeOver(s, g2, d)
 		got, err := plan.AggregateParallel(rt, o, spec)
 		if err != nil {
@@ -267,61 +262,6 @@ func TestAggregateDeltaParity(t *testing.T) {
 	}
 	if enum != want || rtEnum.ICost != serial.ICost {
 		t.Errorf("enumerated %+v (icost %d), folded %+v (icost %d)", enum, rtEnum.ICost, want, serial.ICost)
-	}
-}
-
-// TestZeroAllocStolenMorsel pins the steady-state stealing contract: once
-// the queue's cells and the thief's landing buffers have grown to the
-// working chunk size, a full publish/pop/execute cycle over the hub's list
-// performs no heap allocations.
-func TestZeroAllocStolenMorsel(t *testing.T) {
-	s := hubStore(t, 2048)
-	plan := hubPlan()
-	rt := NewRuntime(s)
-	pl := rt.pipelineFor(plan)
-	pl.stop = plan.countFoldStart()
-	pl.emit = nil
-	pl.setAgg(AggSpec{Kind: AggCount})
-	pl.beginRun()
-	op := plan.stealPoint(pl.stop)
-	if op == nil {
-		t.Fatal("hub plan has no steal point")
-	}
-	sq := newStealQueue(stealQueueCap, plan.NumV, plan.NumE)
-	sr := newStealRun(pl, op, sq, 64)
-	cycle := func() int64 {
-		pl.aggRes.Rows = 0
-		pl.b.V[0] = 0 // the hub: its list splits into many sub-morsels
-		if !sr.rootNext() {
-			t.Fatal("rootNext aborted")
-		}
-		stolen := 0
-		for sq.tryPop(pl.b, &sr.snbrs, &sr.seids) {
-			if !sr.runStolen() {
-				t.Fatal("runStolen aborted")
-			}
-			stolen++
-		}
-		if stolen == 0 {
-			t.Fatal("degenerate steal test: nothing published")
-		}
-		return pl.aggRes.Rows
-	}
-	// Warm until every ring cell has grown its inline buffers: each cycle
-	// publishes ~31 chunks, so a dozen cycles wrap the 256-cell ring.
-	want := cycle()
-	for i := 0; i < 12; i++ {
-		if got := cycle(); got != want {
-			t.Fatalf("count changed across warm-up runs: %d vs %d", got, want)
-		}
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if got := cycle(); got != want {
-			t.Fatalf("count changed across runs: %d vs %d", got, want)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state steal cycle allocated %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -350,11 +290,11 @@ func TestZeroAllocAggregateFold(t *testing.T) {
 	}
 }
 
-// TestStealTraceAttribution pins traced stealing: stolen sub-morsels are
-// charged to the executing worker (the per-worker split and the Stolen
-// counters sum exactly), while per-operator span sums — including operator
-// call counts — stay bit-identical to the serial traced run.
-func TestStealTraceAttribution(t *testing.T) {
+// TestSkewTraceAttribution pins a traced 8-worker run at skew: span sums
+// equal the totals, per-operator spans — including call counts below the
+// root — stay bit-identical to the serial traced run, and the per-worker
+// split sums to the profiled totals.
+func TestSkewTraceAttribution(t *testing.T) {
 	s := hubStore(t, 4096)
 	plan := hubPlan()
 	ref := NewRuntime(s)
@@ -378,13 +318,10 @@ func TestStealTraceAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != wantN || rt.ICost != ref.ICost || rt.PredEvals != ref.PredEvals {
-		t.Fatalf("stolen run (%d, %d, %d) != reference (%d, %d, %d)",
+		t.Fatalf("parallel run (%d, %d, %d) != reference (%d, %d, %d)",
 			n, rt.ICost, rt.PredEvals, wantN, ref.ICost, ref.PredEvals)
 	}
 	tr := rt.Trace
-	if tr.Stolen == 0 {
-		t.Fatal("hub run stole no sub-morsels")
-	}
 	spans := tr.Report()
 	_, _, icost, preds, _ := spanTotals(spans)
 	if icost != rt.ICost || preds != rt.PredEvals {
@@ -392,23 +329,48 @@ func TestStealTraceAttribution(t *testing.T) {
 	}
 	for i := range spans {
 		if spans[i].ICost != base[i].ICost || spans[i].PredEvals != base[i].PredEvals || spans[i].Rows != base[i].Rows {
-			t.Fatalf("op %d: stolen span %+v, serial %+v", i, spans[i], base[i])
+			t.Fatalf("op %d: parallel span %+v, serial %+v", i, spans[i], base[i])
 		}
 		if i > 0 && spans[i].Calls != base[i].Calls {
-			t.Fatalf("op %d: stolen calls %d, serial %d", i, spans[i].Calls, base[i].Calls)
+			t.Fatalf("op %d: parallel calls %d, serial %d", i, spans[i].Calls, base[i].Calls)
 		}
 	}
-	var wRows, wICost, wPreds, wStolen int64
+	var wRows, wICost, wPreds int64
 	for _, w := range tr.Workers {
 		wRows += w.Rows
 		wICost += w.ICost
 		wPreds += w.PredEvals
-		wStolen += w.Stolen
 	}
 	if wRows != wantN || wICost != rt.ICost || wPreds != rt.PredEvals {
 		t.Fatalf("worker split sums (%d,%d,%d) != (%d,%d,%d)", wRows, wICost, wPreds, wantN, rt.ICost, rt.PredEvals)
 	}
-	if wStolen != tr.Stolen {
-		t.Fatalf("worker Stolen sum %d != trace Stolen %d", wStolen, tr.Stolen)
+}
+
+// poolAllocBound caps the allocations of one warm 2-worker CountParallel:
+// per-run worker Runtimes and their pipelines, the worker goroutines, and
+// the merge. A per-run structure sized by anything but the plan (a queue,
+// a buffer per morsel) breaks it.
+const poolAllocBound = 128
+
+// TestPoolCoordinationAllocs pins the worker pool's coordination cost: a
+// warm 2-worker CountParallel over the hub fixture allocates at most
+// poolAllocBound objects, however skewed the morsels.
+func TestPoolCoordinationAllocs(t *testing.T) {
+	s := hubStore(t, 2048)
+	plan := hubPlan()
+	rt := NewRuntime(s)
+	o := ParallelOptions{Workers: 2, MorselSize: 8}
+	want, err := plan.CountParallel(rt, o) // warm: plan-level state, store caches
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		got, err := plan.CountParallel(rt, o)
+		if err != nil || got != want {
+			t.Fatalf("CountParallel = %d, %v; want %d", got, err, want)
+		}
+	})
+	if allocs > poolAllocBound {
+		t.Errorf("warm 2-worker CountParallel allocated %.0f times per run, want <= %d", allocs, poolAllocBound)
 	}
 }

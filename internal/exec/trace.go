@@ -49,9 +49,6 @@ type WorkerSpan struct {
 	Worker int
 	// Morsels is the number of root-scan morsels the worker processed.
 	Morsels int64
-	// Stolen is the number of stolen sub-morsels the worker *executed*
-	// (not published): hub-tail ranges re-partitioned past the root scan.
-	Stolen int64
 	// Rows is the worker's produced-match count (aggregate fold only).
 	Rows int64
 	// ICost, PredEvals, and Nanos are the worker's metric and wall-time
@@ -77,9 +74,6 @@ type Trace struct {
 
 	// Morsels counts root-scan morsels processed (0 on the serial path).
 	Morsels int64
-	// Stolen counts stolen sub-morsels executed by this trace's worker (on a
-	// worker trace) or by the whole pool (after merging).
-	Stolen int64
 	// Workers is the per-worker split of a parallel execution (empty on the
 	// serial path), in worker order.
 	Workers []WorkerSpan
@@ -99,7 +93,6 @@ func (t *Trace) arm(nops, stop int) {
 		}
 	}
 	t.Morsels = 0
-	t.Stolen = 0
 	t.Workers = t.Workers[:0]
 }
 
@@ -114,13 +107,12 @@ func (t *Trace) mergeWorker(w *Trace, worker int, rows, icost, preds int64) {
 		t.spans[i].add(w.spans[i])
 	}
 	t.Morsels += w.Morsels
-	t.Stolen += w.Stolen
 	var nanos int64
 	if len(w.spans) > 0 {
 		nanos = w.spans[0].Nanos // inclusive root span = worker pipeline time
 	}
 	t.Workers = append(t.Workers, WorkerSpan{
-		Worker: worker, Morsels: w.Morsels, Stolen: w.Stolen, Rows: rows,
+		Worker: worker, Morsels: w.Morsels, Rows: rows,
 		ICost: icost, PredEvals: preds, Nanos: nanos,
 	})
 }

@@ -31,7 +31,7 @@ type Config struct {
 	Cities       int  // distinct cities (default 40)
 	// HubDegree, when positive, gives vertex 0 that many extra out-edges on
 	// top of the Chung–Lu sequence — a deliberate super-hub for skew
-	// ablations (work stealing on oversized adjacency lists).
+	// experiments (one morsel far heavier than the rest).
 	HubDegree int
 }
 

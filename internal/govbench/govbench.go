@@ -38,9 +38,7 @@ func Governed(o harness.Options) []harness.Row {
 	if o.Out != nil {
 		w = o.Out
 	}
-	rows := overhead(w, o)
-	rows = append(rows, stealOverhead(w, o)...)
-	return append(rows, cancelLatency(w, o)...)
+	return append(overhead(w, o), cancelLatency(w, o)...)
 }
 
 // overhead compares the triangle ablation query on the BerkStan financial
@@ -109,87 +107,6 @@ func overhead(w io.Writer, o harness.Options) []harness.Row {
 		{Table: "governed", Dataset: "Brk", Config: "baseline", Query: "tri", Seconds: base.Seconds(), Count: want},
 		{Table: "governed", Dataset: "Brk", Config: "governed", Query: "tri", Seconds: gov.Seconds(), Count: want},
 		{Table: "governed", Dataset: "Brk", Config: "traced", Query: "tri", Seconds: traced.Seconds(), Count: want},
-	}
-}
-
-// stealOverhead measures the governed prologue plus the per-morsel governor
-// ticks on the work-stealing path: a super-hub 2-hop count at 8 workers
-// whose oversized first-EXTEND list is re-partitioned onto the steal queue
-// (asserted via the trace's stolen counter before timing). The timing rows
-// are advisory like the other overhead rows — on an oversubscribed box wall
-// time reflects scheduling — but every run, governed or not, must return
-// the bit-identical count, which is asserted on each rep.
-func stealOverhead(w io.Writer, o harness.Options) []harness.Row {
-	const hub2Q = "MATCH a1-[e1]->a2-[e2]->a3"
-	fmt.Fprintf(w, "\n=== Governance overhead on the steal path: super-hub 2-hop, 8 workers ===\n")
-	db := aplus.New()
-	const nv, hubDeg = 64, 20000
-	for i := 0; i < nv; i++ {
-		if _, err := db.AddVertex("V", nil); err != nil {
-			panic(err)
-		}
-	}
-	for i := 0; i < nv; i++ {
-		for _, d := range []int{1, 7} {
-			if _, err := db.AddEdge(aplus.VertexID(i), aplus.VertexID((i+d)%nv), "E", nil); err != nil {
-				panic(err)
-			}
-		}
-	}
-	for k := 0; k < hubDeg; k++ {
-		if _, err := db.AddEdge(0, aplus.VertexID(k*11%nv), "E", nil); err != nil {
-			panic(err)
-		}
-	}
-	db.Parallelism = 8
-	// Small morsels: the 64-vertex root scan must yield more morsels than
-	// workers, leaving the hub's list as the only imbalance to steal.
-	db.MorselSize = 8
-	db.MaxConcurrentQueries = runtime.GOMAXPROCS(0)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	want, wantM, err := db.CountProfiled(hub2Q) // warm + reference metrics
-	if err != nil {
-		panic(err)
-	}
-	tr, err := db.ExplainAnalyze(hub2Q)
-	if err != nil {
-		panic(err)
-	}
-	if tr.Stolen == 0 {
-		panic("steal-overhead shape did not engage the steal queue")
-	}
-	if n, m, err := db.CountProfiledCtx(ctx, hub2Q); err != nil || n != want || m.ICost != wantM.ICost {
-		panic(fmt.Sprintf("governed steal run diverged: n=%d want %d err=%v", n, want, err))
-	}
-
-	const reps = 21
-	baseLat := make([]time.Duration, reps)
-	govLat := make([]time.Duration, reps)
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		if n, err := db.Count(hub2Q); err != nil || n != want {
-			panic(fmt.Sprintf("baseline steal run: n=%d err=%v", n, err))
-		}
-		baseLat[i] = time.Since(start)
-		start = time.Now()
-		if n, err := db.CountCtx(ctx, hub2Q); err != nil || n != want {
-			panic(fmt.Sprintf("governed steal run: n=%d err=%v", n, err))
-		}
-		govLat[i] = time.Since(start)
-	}
-	base, gov := minOf(baseLat), minOf(govLat)
-	pct := gov.Seconds()/base.Seconds() - 1
-	verdict := "PASS"
-	if pct > overheadBar {
-		verdict = fmt.Sprintf("WARN (bar %.0f%%; advisory)", overheadBar*100)
-	}
-	fmt.Fprintf(w, "baseline %12v   governed %12v   overhead %+6.2f%%  %s  (stolen sub-morsels: %d)\n",
-		base, gov, pct*100, verdict, tr.Stolen)
-	return []harness.Row{
-		{Table: "governed", Dataset: "hub", Config: "steal-baseline", Query: "hub2", Seconds: base.Seconds(), Count: want},
-		{Table: "governed", Dataset: "hub", Config: "steal-governed", Query: "hub2", Seconds: gov.Seconds(), Count: want},
 	}
 }
 

@@ -12,32 +12,29 @@ import (
 	"github.com/aplusdb/aplus/internal/workload"
 )
 
-// hubMorselSize is the root morsel size for the hub-skew ablation: small
+// hubMorselSize is the root morsel size for the hub-skew experiment: small
 // enough that the root scan yields more morsels than workers, so the only
-// imbalance left is the super-hub's adjacency list itself — exactly what
-// pipeline-deep stealing re-partitions.
+// imbalance left is the super-hub's adjacency list itself.
 const hubMorselSize = 256
 
-// HubSkew is the work-stealing ablation: a Zipfian background graph plus
-// one deliberate super-hub (vertex 0 with tens of thousands of out-edges)
-// under a 3-hop path count. Root-scan morsel partitioning alone strands
-// the hub's fan-out on whichever worker draws its morsel; pipeline-deep
-// stealing re-partitions the oversized adjacency list across the pool.
-// Three configurations run: serial ("1w"), parallel with stealing disabled
-// ("Nw-nosteal"), and parallel with stealing ("Nw"). Counts and i-cost
-// must agree bit-identically across all three (hard-gated here and by the
-// stored baseline); the speedups are the advisory measurement.
+// HubSkew is the parity gate at skew: a Zipfian background graph plus one
+// deliberate super-hub (vertex 0 with tens of thousands of out-edges) under
+// a 2-hop path count. Root-scan morsel partitioning strands the hub's
+// fan-out on whichever worker draws its morsel, the most uneven split the
+// pool meets. Two configurations run: serial ("1w") and parallel ("Nw").
+// Counts and i-cost must agree bit-identically (hard-gated here and by the
+// stored baseline); the speedup is the advisory measurement.
 func HubSkew(o Options) []Row {
 	w := o.out()
-	header(w, "Hub skew: pipeline-deep work stealing on a super-hub fan-out")
+	header(w, "Hub skew: morsel parallelism on a super-hub fan-out")
 	workers := o.Workers
 	if workers <= 1 {
 		workers = 8
 	}
 	// A 2-hop path puts the super-hub's fan-out exactly at the plan's first
-	// EXTEND (the steal point) with the trailing hop folded; the background
-	// graph is kept sparse so the hub's morsel holds the overwhelming share
-	// of the serial i-cost — the worst case for root-only partitioning.
+	// EXTEND with the trailing hop folded; the background graph is kept
+	// sparse so the hub's morsel holds the overwhelming share of the serial
+	// i-cost — the worst case for root-only partitioning.
 	cfg := gen.Config{Name: "Hub", NumVertices: 4000, AvgDegree: 2, HubDegree: 200000, Seed: 7}
 	cfg = scaled(cfg, o.scale())
 	cfg.HubDegree = int(float64(cfg.HubDegree) * o.scale())
@@ -53,7 +50,6 @@ func HubSkew(o Options) []Row {
 		opts exec.ParallelOptions
 	}{
 		{"1w", exec.ParallelOptions{Workers: 1, MorselSize: hubMorselSize}},
-		{fmt.Sprintf("%dw-nosteal", workers), exec.ParallelOptions{Workers: workers, MorselSize: hubMorselSize, DisableSteal: true}},
 		{fmt.Sprintf("%dw", workers), exec.ParallelOptions{Workers: workers, MorselSize: hubMorselSize}},
 	}
 	var rows []Row
@@ -84,8 +80,8 @@ func HubSkew(o Options) []Row {
 	return rows
 }
 
-// measureOpts is measure with full control of the parallel options (morsel
-// size, steal toggle); Workers <= 1 takes the pool's serial fallback.
+// measureOpts is measure with full control of the parallel options (worker
+// count, morsel size); Workers <= 1 takes the pool's serial fallback.
 func measureOpts(s *index.Store, q workload.Query, opts exec.ParallelOptions) (float64, int64, int64, error) {
 	qg, err := query.Parse(q.Cypher)
 	if err != nil {

@@ -151,6 +151,11 @@ func (s *Server) acceptLoop(ln net.Listener) {
 // maxLine bounds a single request line (a query text plus JSON framing).
 const maxLine = 1 << 20
 
+// maxPending bounds the request lines a client may pipeline while a query
+// streams to it; they wait, up to maxLine bytes each, until the stream ends.
+// A client that sends more without reading its rows is dropped.
+const maxPending = 64
+
 func (s *Server) handle(conn net.Conn) {
 	bw := bufio.NewWriter(conn)
 	lines := make(chan string, 8)
@@ -510,6 +515,15 @@ func (s *Server) serveQuery(connCtx context.Context, conn net.Conn, bw *bufio.Wr
 			if verb, _ := splitLine(line); verb == "cancel" {
 				qcancel()
 				continue
+			}
+			if len(*pending) == maxPending {
+				// A client pipelining past the bound without reading its
+				// rows: hang up. Closing the connection first unblocks a
+				// row write stalled on the unread socket.
+				qcancel()
+				conn.Close()
+				<-done
+				return false
 			}
 			// A pipelined request raced the stream: serve it afterwards.
 			*pending = append(*pending, line)

@@ -297,6 +297,82 @@ func TestServedCancelMidStream(t *testing.T) {
 	}
 }
 
+// TestServedPipelineOverflowHangsUp pins the bound on lines pipelined
+// during a stream: a client that sends maxPending+1 requests while its
+// query streams, and reads none of the rows, is dropped, and the query it
+// left behind releases every shard.
+func TestServedPipelineOverflowHangsUp(t *testing.T) {
+	c, srv, _ := startServer(t, shard.Options{Shards: 2}, Options{})
+	// A hub with 1000 two-way spokes: pathQ streams ~1M rows, far more than
+	// the socket buffers hold, so the unread stream stalls mid-query.
+	if err := c.Batch(func(b *shard.Batch) error {
+		hub, err := b.AddVertex("H", nil)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < 1000; i++ {
+			v, err := b.AddVertex("P", nil)
+			if err != nil {
+				return err
+			}
+			if _, err := b.AddEdge(hub, v, "K", nil); err != nil {
+				return err
+			}
+			if _, err := b.AddEdge(v, hub, "K", nil); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	inFlight := func() int64 {
+		var n int64
+		for i := 0; i < c.NumShards(); i++ {
+			n += c.DB(i).Stats().QueriesInFlight
+		}
+		return n
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "query {\"q\":%q}\n", pathQ); err != nil {
+		t.Fatal(err)
+	}
+	// Read nothing: the stream fills the socket buffers and its row writer
+	// stalls. Then pipeline past the bound.
+	time.Sleep(time.Second)
+	if inFlight() == 0 {
+		t.Fatal("query finished without its rows being read")
+	}
+	if _, err := conn.Write([]byte(strings.Repeat("health\n", maxPending+1))); err != nil {
+		t.Fatal(err)
+	}
+	// Still reading nothing, the query must end on every shard.
+	deadline := time.Now().Add(5 * time.Second)
+	for inFlight() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d queries still in flight after the overflow", inFlight())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// The server hung up: draining what it sent ends in EOF or a reset,
+	// never in the read deadline.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	buf := make([]byte, 64<<10)
+	for {
+		if _, err := conn.Read(buf); err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Fatal("connection still open after pipelining past the bound")
+			}
+			break
+		}
+	}
+}
+
 func TestServedEarlyStopAndRowCap(t *testing.T) {
 	_, _, cl := startServer(t, shard.Options{Shards: 2}, Options{})
 	seed(t, cl, 30)

@@ -56,10 +56,7 @@ type WorkerTrace struct {
 	// Worker is the pool index within its shard.
 	Worker int `json:"worker"`
 	// Morsels is the number of root-scan morsels the worker processed.
-	Morsels int64 `json:"morsels"`
-	// Stolen is the number of stolen sub-morsels the worker executed (work
-	// another worker re-partitioned off an oversized adjacency list).
-	Stolen    int64 `json:"stolen,omitempty"`
+	Morsels   int64 `json:"morsels"`
 	Rows      int64 `json:"rows"`
 	ICost     int64 `json:"icost"`
 	PredEvals int64 `json:"pred_evals"`
@@ -83,9 +80,6 @@ type QueryTrace struct {
 	Nanos int64 `json:"nanos"`
 	// Morsels is the total number of root-scan morsels processed.
 	Morsels int64 `json:"morsels"`
-	// Stolen is the total number of stolen sub-morsels executed by the work
-	// stealer (0 when no oversized adjacency lists were re-partitioned).
-	Stolen int64 `json:"stolen,omitempty"`
 	// FoldStart is the index of the first operator folded by count pushdown
 	// (== the operator count when nothing folded).
 	FoldStart int `json:"fold_start"`
@@ -122,7 +116,6 @@ func (t *QueryTrace) Merge(o *QueryTrace, shard int) {
 	t.Metrics.ICost += o.Metrics.ICost
 	t.Metrics.PredEvals += o.Metrics.PredEvals
 	t.Morsels += o.Morsels
-	t.Stolen += o.Stolen
 	if o.Nanos > t.Nanos {
 		t.Nanos = o.Nanos
 	}
@@ -151,13 +144,9 @@ func (t *QueryTrace) Merge(o *QueryTrace, shard int) {
 // of the total i-cost, and the per-worker split.
 func (t *QueryTrace) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "EXPLAIN ANALYZE  count=%d  time=%v  i-cost=%d (est %.1f)  pred-evals=%d  morsels=%d",
+	fmt.Fprintf(&b, "EXPLAIN ANALYZE  count=%d  time=%v  i-cost=%d (est %.1f)  pred-evals=%d  morsels=%d\n",
 		t.Count, time.Duration(t.Nanos).Round(time.Microsecond), t.Metrics.ICost,
 		t.Metrics.EstimatedICost, t.Metrics.PredEvals, t.Morsels)
-	if t.Stolen > 0 {
-		fmt.Fprintf(&b, "  stolen=%d", t.Stolen)
-	}
-	b.WriteByte('\n')
 	if t.Stopped != "" {
 		fmt.Fprintf(&b, "  (partial: stopped by %s)\n", t.Stopped)
 	}
@@ -178,12 +167,8 @@ func (t *QueryTrace) Render() string {
 			sp.PredEvals, time.Duration(sp.Nanos).Round(time.Microsecond))
 	}
 	for _, w := range t.Workers {
-		fmt.Fprintf(&b, "  worker shard=%d w=%d: morsels=%d", w.Shard, w.Worker, w.Morsels)
-		if w.Stolen > 0 {
-			fmt.Fprintf(&b, " stolen=%d", w.Stolen)
-		}
-		fmt.Fprintf(&b, " rows=%d icost=%d preds=%d time=%v\n",
-			w.Rows, w.ICost, w.PredEvals,
+		fmt.Fprintf(&b, "  worker shard=%d w=%d: morsels=%d rows=%d icost=%d preds=%d time=%v\n",
+			w.Shard, w.Worker, w.Morsels, w.Rows, w.ICost, w.PredEvals,
 			time.Duration(w.Nanos).Round(time.Microsecond))
 	}
 	return b.String()
@@ -221,7 +206,7 @@ func (db *DB) ExplainAnalyzeLimited(ctx context.Context, cypher string, limits Q
 func buildQueryTrace(cypher string, plan *exec.Plan, rt *exec.Runtime, n int64, elapsed time.Duration, shard int) *QueryTrace {
 	qt := &QueryTrace{
 		Query: cypher, Count: n,
-		Nanos: int64(elapsed), Morsels: rt.Trace.Morsels, Stolen: rt.Trace.Stolen,
+		Nanos: int64(elapsed), Morsels: rt.Trace.Morsels,
 		FoldStart: rt.Trace.FoldStart(),
 		Metrics:   Metrics{ICost: rt.ICost, PredEvals: rt.PredEvals, EstimatedICost: plan.EstimatedICost},
 	}
@@ -244,7 +229,7 @@ func buildQueryTrace(cypher string, plan *exec.Plan, rt *exec.Runtime, n int64, 
 	}
 	for _, w := range rt.Trace.Workers {
 		qt.Workers = append(qt.Workers, WorkerTrace{
-			Shard: shard, Worker: w.Worker, Morsels: w.Morsels, Stolen: w.Stolen,
+			Shard: shard, Worker: w.Worker, Morsels: w.Morsels,
 			Rows: w.Rows, ICost: w.ICost, PredEvals: w.PredEvals, Nanos: w.Nanos,
 		})
 	}

@@ -71,12 +71,11 @@ func TestExplainAnalyzeMatchesProfiled(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeStolenAttribution extends the tracing oracle to the
-// work-stealing path: a super-hub DB at 8 workers reports stolen
-// sub-morsels, charges them to the executing workers (the per-worker sums
-// still equal the profiled metrics exactly), and keeps span sums
-// bit-identical to an unstolen profiled run.
-func TestExplainAnalyzeStolenAttribution(t *testing.T) {
+// TestExplainAnalyzeSkewAttribution extends the tracing oracle to a skewed
+// parallel run: on a super-hub DB at 8 workers the per-worker sums equal
+// the profiled metrics exactly and span sums stay bit-identical to the
+// profiled run, however unevenly the hub's morsel loads one worker.
+func TestExplainAnalyzeSkewAttribution(t *testing.T) {
 	db := New()
 	var vs []VertexID
 	for i := 0; i < 48; i++ {
@@ -94,8 +93,8 @@ func TestExplainAnalyzeStolenAttribution(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The super-hub: vertex 0's list dwarfs the morsel size, so its tail is
-	// re-partitioned onto the steal queue.
+	// The super-hub: vertex 0's list dwarfs the morsel size, so the morsel
+	// that draws it outweighs all the others.
 	for k := 0; k < 6000; k++ {
 		if _, err := db.AddEdge(vs[0], vs[(k*7+1)%len(vs)], "E", nil); err != nil {
 			t.Fatal(err)
@@ -118,9 +117,6 @@ func TestExplainAnalyzeStolenAttribution(t *testing.T) {
 	if tr.Metrics.ICost != wantM.ICost || tr.Metrics.PredEvals != wantM.PredEvals {
 		t.Errorf("trace metrics = %+v, want %+v", tr.Metrics, wantM)
 	}
-	if tr.Stolen == 0 {
-		t.Fatal("hub query reported no stolen sub-morsels")
-	}
 	var sumICost, sumPreds int64
 	for _, sp := range tr.Spans {
 		sumICost += sp.ICost
@@ -129,20 +125,13 @@ func TestExplainAnalyzeStolenAttribution(t *testing.T) {
 	if sumICost != wantM.ICost || sumPreds != wantM.PredEvals {
 		t.Errorf("span sums (%d,%d) != profiled (%d,%d)", sumICost, sumPreds, wantM.ICost, wantM.PredEvals)
 	}
-	var wICost, wRows, wStolen int64
+	var wICost, wRows int64
 	for _, ws := range tr.Workers {
 		wICost += ws.ICost
 		wRows += ws.Rows
-		wStolen += ws.Stolen
 	}
 	if wICost != wantM.ICost || wRows != want {
 		t.Errorf("worker sums (icost %d, rows %d) != profiled (%d, %d)", wICost, wRows, wantM.ICost, want)
-	}
-	if wStolen != tr.Stolen {
-		t.Errorf("worker stolen sum %d != trace stolen %d", wStolen, tr.Stolen)
-	}
-	if out := tr.Render(); !strings.Contains(out, "stolen=") {
-		t.Errorf("rendering of a stolen run omits the stolen counter:\n%s", out)
 	}
 }
 
