@@ -82,6 +82,20 @@ func TestPublicAPIQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestDeepPartitionDDLIsAnError: partition levels whose bucket product
+// would overflow the CSR's bucket arithmetic are refused with an error,
+// and the database keeps serving under its old configuration.
+func TestDeepPartitionDDLIsAnError(t *testing.T) {
+	db := buildExampleDB(t)
+	keys := strings.Repeat("eadj.label, ", 24) + "eadj.label"
+	if err := db.Exec("RECONFIGURE PRIMARY INDEXES PARTITION BY " + keys); err == nil {
+		t.Fatal("25 nested label levels accepted")
+	}
+	if n, err := db.Count("MATCH (c:Customer)-[r1:O]->(a1:Account)"); err != nil || n != 5 {
+		t.Fatalf("after refused DDL: count %d, %v; want 5", n, err)
+	}
+}
+
 func TestPublicAPISecondaryIndexes(t *testing.T) {
 	db := buildExampleDB(t)
 	if err := db.Exec(`CREATE 1-HOP VIEW LargeEUR

@@ -77,11 +77,11 @@
 //
 // -baseline loads a prior -json dump and prints per-row deltas against it;
 // the process exits non-zero when any matched row runs slower than
-// baseline*(1+tolerance), its i-cost grows beyond (1+icost-tolerance), or
-// its count changed — the stored-baseline regression gate for CI and local
-// before/after runs. A negative -tolerance makes the runtime comparison
-// advisory-only (counts and i-cost, which are deterministic, still gate) —
-// the right setting when the baseline was blessed on different hardware.
+// baseline*(1+tolerance), or its count or i-cost changed at all — the
+// stored-baseline regression gate for CI and local before/after runs. A
+// negative -tolerance makes the runtime comparison advisory-only (counts
+// and i-cost, which are deterministic, still gate) — the right setting
+// when the baseline was blessed on different hardware.
 package main
 
 import (
@@ -104,7 +104,6 @@ func main() {
 	jsonPath := flag.String("json", "", "write all measured rows to this file as JSON")
 	baseline := flag.String("baseline", "", "compare measured rows against this prior -json dump")
 	tolerance := flag.Float64("tolerance", 0.10, "slowdown fraction tolerated before -baseline reports a regression; negative = runtime advisory-only (counts/i-cost still gate)")
-	icostTolerance := flag.Float64("icost-tolerance", 0.10, "i-cost growth fraction tolerated before -baseline reports a regression")
 	mixed := flag.Bool("mixed", false, "run the mixed read/write workload (shorthand for -exp mixed)")
 	mergeExp := flag.Bool("merge", false, "run the fold-cost experiment: incremental vs full delta folds across delta sizes (shorthand for -exp merge)")
 	durable := flag.String("durable", "", "run the durable storage-engine experiment in this directory (shorthand for -exp durability; \"tmp\" = throwaway temp dir)")
@@ -203,7 +202,7 @@ func main() {
 		fmt.Printf("\nwrote %d rows to %s\n", len(rows), *jsonPath)
 	}
 	if *baseline != "" {
-		if regressed := harness.CompareBaseline(os.Stdout, baseRows, rows, *tolerance, *icostTolerance); regressed > 0 {
+		if regressed := harness.CompareBaseline(os.Stdout, baseRows, rows, *tolerance); regressed > 0 {
 			os.Exit(1)
 		}
 	}

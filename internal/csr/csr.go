@@ -216,3 +216,37 @@ func (c *CSR) PosInOwner(owner uint32, pos uint32) uint32 {
 func (c *CSR) MemoryBytes() (levels, idLists int64) {
 	return int64(len(c.offsets)) * 4, int64(len(c.nbr))*4 + int64(len(c.eid))*8
 }
+
+// Diff reports the first difference between two CSRs, element for
+// element: owner count, level cardinalities, bucket offsets, neighbour
+// IDs, and edge IDs. It returns nil when they are equal.
+func Diff(a, b *CSR) error {
+	if a.numOwners != b.numOwners {
+		return fmt.Errorf("csr: %d owners vs %d", a.numOwners, b.numOwners)
+	}
+	if i, ok := firstDiff(a.cards, b.cards); !ok {
+		return fmt.Errorf("csr: level cardinalities %v vs %v (level %d)", a.cards, b.cards, i)
+	}
+	if i, ok := firstDiff(a.offsets, b.offsets); !ok {
+		return fmt.Errorf("csr: offsets differ at bucket %d (lengths %d, %d)", i, len(a.offsets), len(b.offsets))
+	}
+	if i, ok := firstDiff(a.nbr, b.nbr); !ok {
+		return fmt.Errorf("csr: neighbour IDs differ at entry %d (lengths %d, %d)", i, len(a.nbr), len(b.nbr))
+	}
+	if i, ok := firstDiff(a.eid, b.eid); !ok {
+		return fmt.Errorf("csr: edge IDs differ at entry %d (lengths %d, %d)", i, len(a.eid), len(b.eid))
+	}
+	return nil
+}
+
+// firstDiff returns the first index at which a and b differ, and ok=true
+// when they are equal.
+func firstDiff[T comparable](a, b []T) (int, bool) {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i, false
+		}
+	}
+	return n, len(a) == len(b)
+}

@@ -229,3 +229,25 @@ func TestCSRQuickOwnerRangesPartition(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDiffCatchesOneEntry: Diff accepts equal CSRs and rejects a change to
+// any single element of each array it compares.
+func TestDiffCatchesOneEntry(t *testing.T) {
+	if err := Diff(buildSmall(), buildSmall()); err != nil {
+		t.Fatalf("equal CSRs: %v", err)
+	}
+	for name, mutate := range map[string]func(c *CSR){
+		"owners":  func(c *CSR) { c.numOwners++ },
+		"cards":   func(c *CSR) { c.cards = []int{3} },
+		"offsets": func(c *CSR) { c.offsets[1]++ },
+		"nbr":     func(c *CSR) { c.nbr[2]++ },
+		"eid":     func(c *CSR) { c.eid[3]++ },
+		"length":  func(c *CSR) { c.eid = c.eid[:3] },
+	} {
+		c := buildSmall()
+		mutate(c)
+		if Diff(buildSmall(), c) == nil {
+			t.Errorf("%s: change not detected", name)
+		}
+	}
+}

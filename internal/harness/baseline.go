@@ -40,17 +40,18 @@ const minCompareSeconds = 1e-3
 
 // CompareBaseline diffs cur against base row-by-row (matched on
 // table/dataset/config/query) and prints per-row runtime deltas. A row
-// regresses when it runs slower than base*(1+tolerance) (unless both runs
-// sit under the minCompareSeconds noise floor) or its i-cost grows beyond
-// (1+icostTolerance); a count mismatch is always a regression, since index
-// and executor changes must never change results. A negative tolerance
-// makes the runtime comparison advisory-only (reported, never failing):
-// wall-clock from a dump blessed on different hardware — the CI gate —
-// cannot be compared meaningfully, while counts and i-cost are
-// deterministic everywhere. The returned value is the number of regressed
-// rows — callers exit non-zero when it is positive. Rows present in only
-// one of the runs are reported but never regress (experiments evolve).
-func CompareBaseline(w io.Writer, base, cur []Row, tolerance, icostTolerance float64) int {
+// regresses when its count differs from base (index and executor changes
+// must never change results), when its i-cost differs in either direction
+// (i-cost is deterministic, so a change means a changed plan or executor,
+// which is re-blessed on purpose), or when it runs slower than
+// base*(1+tolerance) (unless both runs sit under the minCompareSeconds
+// noise floor). A negative tolerance makes the runtime
+// comparison advisory-only (reported, never failing): wall-clock from a
+// dump blessed on different hardware — the CI gate — cannot be compared
+// meaningfully. The returned value is the number of regressed rows —
+// callers exit non-zero when it is positive. Rows present in only one of
+// the runs are reported but never regress (experiments evolve).
+func CompareBaseline(w io.Writer, base, cur []Row, tolerance float64) int {
 	if w == nil {
 		w = io.Discard
 	}
@@ -59,9 +60,9 @@ func CompareBaseline(w io.Writer, base, cur []Row, tolerance, icostTolerance flo
 		baseByKey[rowKey(r)] = r
 	}
 	if tolerance < 0 {
-		fmt.Fprintf(w, "\n=== baseline comparison (runtime advisory, i-cost tolerance %.0f%%) ===\n", icostTolerance*100)
+		fmt.Fprintf(w, "\n=== baseline comparison (runtime advisory, counts and i-cost exact) ===\n")
 	} else {
-		fmt.Fprintf(w, "\n=== baseline comparison (tolerance %.0f%%, i-cost %.0f%%) ===\n", tolerance*100, icostTolerance*100)
+		fmt.Fprintf(w, "\n=== baseline comparison (tolerance %.0f%%, counts and i-cost exact) ===\n", tolerance*100)
 	}
 	regressions := 0
 	matched := map[string]bool{}
@@ -78,9 +79,9 @@ func CompareBaseline(w io.Writer, base, cur []Row, tolerance, icostTolerance flo
 		case r.Count != b.Count:
 			regressions++
 			fmt.Fprintf(w, "%-40s COUNT MISMATCH: %d -> %d\n", k, b.Count, r.Count)
-		case float64(r.ICost) > float64(b.ICost)*(1+icostTolerance):
+		case r.ICost != b.ICost:
 			regressions++
-			fmt.Fprintf(w, "%-40s ICOST REGRESSION: %d -> %d\n", k, b.ICost, r.ICost)
+			fmt.Fprintf(w, "%-40s ICOST MISMATCH: %d -> %d\n", k, b.ICost, r.ICost)
 		case tolerance >= 0 && b.Seconds > 0 && r.Seconds > b.Seconds*(1+tolerance) &&
 			(b.Seconds >= minCompareSeconds || r.Seconds >= minCompareSeconds):
 			regressions++

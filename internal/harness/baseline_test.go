@@ -22,9 +22,8 @@ func TestCompareBaselineNoRegression(t *testing.T) {
 	cur := baselineRows()
 	cur[0].Seconds = 1.05 // within 10%
 	cur[1].Seconds = 1.2  // faster
-	cur[2].ICost = 400    // cheaper plan
 	var buf bytes.Buffer
-	if n := CompareBaseline(&buf, base, cur, 0.10, 0.10); n != 0 {
+	if n := CompareBaseline(&buf, base, cur, 0.10); n != 0 {
 		t.Fatalf("regressions = %d, want 0\n%s", n, buf.String())
 	}
 	if !strings.Contains(buf.String(), "no regressions (3 rows compared)") {
@@ -39,13 +38,26 @@ func TestCompareBaselineDetects(t *testing.T) {
 	cur[1].Count = 201   // wrong result: always a regression
 	cur[2].ICost = 600   // 20% more list entries read
 	var buf bytes.Buffer
-	if n := CompareBaseline(&buf, base, cur, 0.10, 0.10); n != 3 {
+	if n := CompareBaseline(&buf, base, cur, 0.10); n != 3 {
 		t.Fatalf("regressions = %d, want 3\n%s", n, buf.String())
 	}
 	out := buf.String()
-	for _, want := range []string{"REGRESSION", "COUNT MISMATCH", "ICOST REGRESSION"} {
+	for _, want := range []string{"REGRESSION", "COUNT MISMATCH", "ICOST MISMATCH"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestCompareBaselineICostExact: i-cost is deterministic, so any change —
+// one entry more or one entry fewer — fails the gate until re-blessed.
+func TestCompareBaselineICostExact(t *testing.T) {
+	for _, delta := range []int64{1, -1} {
+		cur := baselineRows()
+		cur[2].ICost += delta
+		var buf bytes.Buffer
+		if n := CompareBaseline(&buf, baselineRows(), cur, -1); n != 1 {
+			t.Fatalf("i-cost %+d: regressions = %d, want 1\n%s", delta, n, buf.String())
 		}
 	}
 }
@@ -55,7 +67,7 @@ func TestCompareBaselineUnmatchedRows(t *testing.T) {
 	cur := append(baselineRows(), Row{Table: "table5", Dataset: "LJ", Config: "N4", Query: "SQ1", Seconds: 3})
 	cur = cur[1:] // drop base[0]: present in baseline only
 	var buf bytes.Buffer
-	if n := CompareBaseline(&buf, base, cur, 0.10, 0.10); n != 0 {
+	if n := CompareBaseline(&buf, base, cur, 0.10); n != 0 {
 		t.Fatalf("unmatched rows must not regress, got %d\n%s", n, buf.String())
 	}
 	out := buf.String()
@@ -98,7 +110,7 @@ func TestCompareBaselineNoiseFloor(t *testing.T) {
 		{Table: "t", Dataset: "d", Config: "c", Query: "wrong", Seconds: 0.00002, Count: 6, ICost: 10},
 	}
 	var buf bytes.Buffer
-	if n := CompareBaseline(&buf, base, cur, 0.10, 0.10); n != 1 {
+	if n := CompareBaseline(&buf, base, cur, 0.10); n != 1 {
 		t.Fatalf("regressions = %d, want 1 (count mismatch only)\n%s", n, buf.String())
 	}
 }
@@ -107,12 +119,12 @@ func TestCompareBaselineAdvisoryRuntime(t *testing.T) {
 	base := []Row{{Table: "t", Dataset: "d", Config: "c", Query: "q1", Seconds: 0.010, Count: 100, ICost: 1000}}
 	cur := []Row{{Table: "t", Dataset: "d", Config: "c", Query: "q1", Seconds: 0.100, Count: 100, ICost: 1000}} // 10x slower, same count/icost
 	var buf bytes.Buffer
-	if n := CompareBaseline(&buf, base, cur, -1, 0.10); n != 0 {
+	if n := CompareBaseline(&buf, base, cur, -1); n != 0 {
 		t.Fatalf("advisory runtime must not regress, got %d:\n%s", n, buf.String())
 	}
 	cur[0].ICost = 5000 // i-cost still gates
 	buf.Reset()
-	if n := CompareBaseline(&buf, base, cur, -1, 0.10); n != 1 {
+	if n := CompareBaseline(&buf, base, cur, -1); n != 1 {
 		t.Fatalf("i-cost regression missed under advisory runtime, got %d:\n%s", n, buf.String())
 	}
 }

@@ -1,11 +1,9 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
-	"github.com/aplusdb/aplus/internal/enc"
 	"github.com/aplusdb/aplus/internal/exec"
 	"github.com/aplusdb/aplus/internal/gen"
 	"github.com/aplusdb/aplus/internal/index"
@@ -22,9 +20,9 @@ import (
 // path is measured, not just the primary's.
 //
 // Parity is enforced, not assumed: for every delta the two successor
-// stores must produce bit-identical checkpoint encodings (which pins the
-// primary CSRs element-for-element and the secondary descriptors) and equal
-// edge counts plus i-cost through the executor's fetch path. The rows are
+// stores must be equal under index.DiffStores (both primary CSRs element
+// for element, the edge bound, the configuration and the view definitions)
+// and give equal edge counts plus i-cost through the executor's fetch path. The rows are
 // not part of "-exp all": fold latency is hardware-dependent and must not
 // gate -baseline runs.
 func MergeBench(o Options) []Row {
@@ -104,15 +102,12 @@ func MergeBench(o Options) []Row {
 }
 
 // verifyMergeParity panics unless the two successor stores are
-// indistinguishable: bit-identical checkpoint encodings and equal edge
-// count and i-cost through the executor's primary fetch path. It returns
-// the agreed (count, icost).
+// indistinguishable: equal under index.DiffStores, and equal edge count and
+// i-cost through the executor's primary fetch path. It returns the agreed
+// (count, icost).
 func verifyMergeParity(full, inc *index.Store) (int64, int64) {
-	wf, wi := enc.NewWriter(), enc.NewWriter()
-	index.EncodeStore(wf, full)
-	index.EncodeStore(wi, inc)
-	if !bytes.Equal(wf.Bytes(), wi.Bytes()) {
-		panic(fmt.Sprintf("merge parity: checkpoint encodings diverge (%d vs %d bytes)", len(wf.Bytes()), len(wi.Bytes())))
+	if err := index.DiffStores(full, inc); err != nil {
+		panic(fmt.Sprintf("merge parity: %v", err))
 	}
 	plan := &exec.Plan{
 		NumV: 2, NumE: 1,

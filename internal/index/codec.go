@@ -1,16 +1,18 @@
 package index
 
-// Checkpoint serialization of the index store. The primary indexes are
-// written structurally — configuration, edge bound, and both nested CSRs —
-// so Open restores them without re-sorting the edge set. Secondary indexes
-// are written as their definitions only (view name, predicate, directions,
-// configuration): their offset lists are a deterministic function of the
-// primary index and the graph, and are rebuilt on decode. Partition levels
-// and sort ordinals are likewise rebuilt from the decoded graph, which
-// yields exactly the encodings the checkpointed store was built with
-// (categorical bucket order is content-determined).
+// Checkpoint serialization of the index store. An image holds only what
+// the graph cannot rebuild: the primary configuration and the secondary
+// index definitions (view name, predicate, directions, configuration). The
+// primary must hold every live edge (Section III-A), so its CSRs are a
+// deterministic function of the graph and the configuration; secondary
+// offset lists are a deterministic function of the primary and the graph.
+// Decoding therefore runs the same BuildPrimary and view builds as a full
+// fold or a RECONFIGURE, and no checkpoint byte is ever trusted as a list
+// entry. Categorical bucket order is content-determined, so the rebuilt
+// partition levels and sort ordinals equal those the store was built with.
 
 import (
+	"bytes"
 	"fmt"
 
 	"github.com/aplusdb/aplus/internal/csr"
@@ -121,16 +123,10 @@ func DecodeEPDef(r *enc.Reader) EPDef {
 }
 
 // EncodeStore appends a checkpoint image of a frozen base store: the primary
-// configuration and CSRs plus every secondary index descriptor. The store
-// must be a published (immutable) base with no buffered maintenance state —
-// exactly what the snapshot layer hands to checkpoint writers. The graph is
-// encoded separately (storage.EncodeGraph); DecodeStore stitches them back
-// together.
+// configuration and every secondary index definition. Nothing built from
+// the graph is written — DecodeStore rebuilds it.
 func EncodeStore(w *enc.Writer, s *Store) {
 	EncodeConfig(w, s.primary.cfg)
-	w.Uvarint(uint64(s.primary.edgeBound))
-	s.primary.fw.Encode(w)
-	s.primary.bw.Encode(w)
 	w.Uvarint(uint64(len(s.vps)))
 	for _, v := range s.vps {
 		EncodeVPDef(w, v.def)
@@ -141,80 +137,73 @@ func EncodeStore(w *enc.Writer, s *Store) {
 	}
 }
 
-// DecodeStore reconstructs a store over g from an EncodeStore image,
-// rebuilding partition levels and secondary offset lists (both deterministic
-// functions of the graph, the decoded CSRs, and the descriptors).
-func DecodeStore(r *enc.Reader, g *storage.Graph) (*Store, error) {
+// DecodeStore rebuilds a store over g from an EncodeStore image: NewStore
+// under the decoded configuration, then each view in its original order.
+// legacyCSRs reads an image of the older format, which stored the primary's
+// edge bound and both CSRs after the configuration; they are read past
+// (length-checked) and never used.
+func DecodeStore(r *enc.Reader, g *storage.Graph, legacyCSRs bool) (*Store, error) {
 	cfg := DecodeConfig(r)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	edgeBound := storage.EdgeID(r.Uvarint())
-	fw, err := csr.DecodeCSR(r)
-	if err != nil {
-		return nil, err
-	}
-	bw, err := csr.DecodeCSR(r)
-	if err != nil {
-		return nil, err
-	}
-	if int(edgeBound) > g.NumEdges() {
-		return nil, fmt.Errorf("index: decoded edge bound %d exceeds graph's %d edge slots", edgeBound, g.NumEdges())
-	}
-	if fw.NumOwners() > g.NumVertices() || bw.NumOwners() > g.NumVertices() {
-		return nil, fmt.Errorf("index: decoded CSR covers more owners than the graph's %d vertices", g.NumVertices())
-	}
-	levels, err := buildLevels(g, cfg.Partitions)
-	if err != nil {
-		return nil, err
-	}
-	cards := levelCards(levels)
-	for _, c := range [2]*csr.CSR{fw, bw} {
-		got := c.Cards()
-		if len(got) != len(cards) {
-			return nil, fmt.Errorf("index: decoded CSR has %d levels, config wants %d", len(got), len(cards))
-		}
-		for i := range got {
-			if got[i] != cards[i] {
-				return nil, fmt.Errorf("index: decoded CSR level %d cardinality %d, graph yields %d", i, got[i], cards[i])
+	if legacyCSRs {
+		r.Uvarint() // edge bound
+		for i := 0; i < 2; i++ {
+			r.Uvarint() // owners
+			for n := r.Len(1); n > 0; n-- {
+				r.Uvarint() // level cardinality
 			}
+			r.U32s() // offsets
+			r.U32s() // neighbours
+			r.U64s() // edge IDs
 		}
 	}
-	p := &Primary{
-		g:         g,
-		cfg:       cfg,
-		levels:    levels,
-		fw:        fw,
-		bw:        bw,
-		edgeBound: edgeBound,
-		fwBuf:     make(map[uint32][]bufEntry),
-		bwBuf:     make(map[uint32][]bufEntry),
-	}
-	s := &Store{g: g, primary: p, MergeThreshold: DefaultMergeThreshold}
+	var vps []VPDef
 	for n := r.Len(1); n > 0; n-- {
-		def := DecodeVPDef(r)
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		v, err := BuildVertexPartitioned(p, def)
-		if err != nil {
-			return nil, fmt.Errorf("index: rebuild view %q: %w", def.View.Name, err)
-		}
-		s.vps = append(s.vps, v)
+		vps = append(vps, DecodeVPDef(r))
 	}
+	var eps []EPDef
 	for n := r.Len(1); n > 0; n-- {
-		def := DecodeEPDef(r)
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		e, err := BuildEdgePartitioned(p, def)
-		if err != nil {
-			return nil, fmt.Errorf("index: rebuild view %q: %w", def.View.Name, err)
-		}
-		s.eps = append(s.eps, e)
+		eps = append(eps, DecodeEPDef(r))
 	}
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
+	s, err := NewStore(g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range vps {
+		if _, err := s.CreateVertexPartitioned(d); err != nil {
+			return nil, fmt.Errorf("index: rebuild view %q: %w", d.View.Name, err)
+		}
+	}
+	for _, d := range eps {
+		if _, err := s.CreateEdgePartitioned(d); err != nil {
+			return nil, fmt.Errorf("index: rebuild view %q: %w", d.View.Name, err)
+		}
+	}
 	return s, nil
+}
+
+// DiffStores reports the first difference between two frozen stores, or
+// nil when they are indistinguishable: equal edge bounds, both primary CSRs
+// equal element for element (csr.Diff), and equal checkpoint images (the
+// primary configuration and every view definition). Incremental-fold
+// parity gates and checkpoint round-trip tests use it; the image alone
+// would compare definitions only.
+func DiffStores(a, b *Store) error {
+	if a.primary.edgeBound != b.primary.edgeBound {
+		return fmt.Errorf("index: edge bound %d vs %d", a.primary.edgeBound, b.primary.edgeBound)
+	}
+	for _, dir := range []Direction{FW, BW} {
+		if err := csr.Diff(a.primary.dirCSR(dir), b.primary.dirCSR(dir)); err != nil {
+			return fmt.Errorf("index: primary %v: %w", dir, err)
+		}
+	}
+	wa, wb := enc.NewWriter(), enc.NewWriter()
+	EncodeStore(wa, a)
+	EncodeStore(wb, b)
+	if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
+		return fmt.Errorf("index: configurations or view definitions differ (%d vs %d image bytes)", wa.Len(), wb.Len())
+	}
+	return nil
 }

@@ -15,8 +15,14 @@ func buildCodecStore(t *testing.T) *Store {
 	t.Helper()
 	g := storage.NewGraph()
 	n := 8
+	cities := []string{"Oslo", "Lima", "", "Oslo", "Kyiv", "Lima", "", "Pune"}
 	for i := 0; i < n; i++ {
-		g.AddVertex("Account")
+		v := g.AddVertex("Account")
+		if cities[i] != "" {
+			if err := g.SetVertexProp(v, "city", storage.Str(cities[i])); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	add := func(s, d int, label, cur string, amt int64) {
 		e, err := g.AddEdge(storage.VertexID(s), storage.VertexID(d), label)
@@ -67,9 +73,9 @@ func buildCodecStore(t *testing.T) *Store {
 	return s
 }
 
-func TestStoreCodecRoundTrip(t *testing.T) {
-	s := buildCodecStore(t)
-
+// roundTrip encodes s with its graph and decodes the image again.
+func roundTrip(t *testing.T, s *Store) *Store {
+	t.Helper()
 	w := enc.NewWriter()
 	storage.EncodeGraph(w, s.Graph())
 	EncodeStore(w, s)
@@ -79,67 +85,43 @@ func TestStoreCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := DecodeStore(r, g2)
+	s2, err := DecodeStore(r, g2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if r.Rest() != 0 {
+		t.Fatalf("%d bytes left after decode", r.Rest())
+	}
+	return s2
+}
 
-	// Primary CSR payloads are bit-identical.
-	if s2.primary.edgeBound != s.primary.edgeBound {
-		t.Fatalf("edge bound %d vs %d", s2.primary.edgeBound, s.primary.edgeBound)
-	}
-	for dirI, dir := range []Direction{FW, BW} {
-		a, b := s.primary.dirCSR(dir), s2.primary.dirCSR(dir)
-		if a.Len() != b.Len() || a.NumOwners() != b.NumOwners() {
-			t.Fatalf("dir %d shape mismatch", dirI)
+// TestStoreCodecRoundTrip reopens stores of several shapes — multi-level,
+// unpartitioned, default and vertex-property partitions, edge and
+// neighbour sorts, a deleted edge, VP and EP views — and requires each
+// rebuilt store to equal the encoded one element for element.
+func TestStoreCodecRoundTrip(t *testing.T) {
+	base := buildCodecStore(t)
+	for _, cfg := range []Config{
+		base.primary.cfg,
+		{},
+		DefaultConfig(),
+		{
+			Partitions: []PartitionKey{{Var: pred.VarNbr, Prop: "city"}},
+			Sorts:      []SortKey{{Var: pred.VarNbr, Prop: "city"}, {Var: pred.VarAdj, Prop: "amt"}},
+		},
+	} {
+		s, err := base.CloneRebuilt(base.Graph(), cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range a.Nbrs() {
-			if a.Nbrs()[i] != b.Nbrs()[i] || a.EIDs()[i] != b.EIDs()[i] {
-				t.Fatalf("dir %d entry %d mismatch", dirI, i)
-			}
+		s2 := roundTrip(t, s)
+		compareStores(t, "config "+cfg.String(), s, s2)
+		if len(s2.vps) != 1 || len(s2.eps) != 1 || s2.vps[0].Name() != "BigEUR" || s2.eps[0].Name() != "Flow" {
+			t.Fatalf("config %v: secondaries not restored", cfg)
 		}
-	}
-
-	// Per-owner lists (including bucket-restricted ones) agree.
-	codes, ok := s2.primary.ResolveCodes([]storage.Value{storage.Str("W"), storage.Str("EUR")})
-	if !ok {
-		t.Fatal("resolve codes")
-	}
-	for v := 0; v < s.Graph().NumVertices(); v++ {
-		for _, dir := range []Direction{FW, BW} {
-			la := s.primary.List(dir, storage.VertexID(v), codes)
-			lb := s2.primary.List(dir, storage.VertexID(v), codes)
-			if la.Len() != lb.Len() {
-				t.Fatalf("owner %d dir %v list length %d vs %d", v, dir, la.Len(), lb.Len())
-			}
-			for i := 0; i < la.Len(); i++ {
-				na, ea := la.Get(i)
-				nb, eb := lb.Get(i)
-				if na != nb || ea != eb {
-					t.Fatalf("owner %d dir %v entry %d mismatch", v, dir, i)
-				}
-			}
+		if s2.vps[0].NumIndexedEdges() != s.vps[0].NumIndexedEdges() || s2.eps[0].NumIndexedEdges() != s.eps[0].NumIndexedEdges() {
+			t.Fatalf("config %v: secondary entry counts differ", cfg)
 		}
-	}
-
-	// Secondary descriptors and rebuilt contents survive.
-	if len(s2.vps) != 1 || len(s2.eps) != 1 {
-		t.Fatalf("secondaries: %d vps, %d eps", len(s2.vps), len(s2.eps))
-	}
-	if s2.vps[0].Name() != "BigEUR" || s2.eps[0].Name() != "Flow" {
-		t.Fatal("secondary names")
-	}
-	if got, want := s2.vps[0].Def().View.Pred.String(), s.vps[0].Def().View.Pred.String(); got != want {
-		t.Fatalf("vp predicate %q vs %q", got, want)
-	}
-	if got, want := s2.eps[0].Def().View.Pred.String(), s.eps[0].Def().View.Pred.String(); got != want {
-		t.Fatalf("ep predicate %q vs %q", got, want)
-	}
-	if s2.vps[0].NumIndexedEdges() != s.vps[0].NumIndexedEdges() {
-		t.Fatalf("vp entries %d vs %d", s2.vps[0].NumIndexedEdges(), s.vps[0].NumIndexedEdges())
-	}
-	if s2.eps[0].NumIndexedEdges() != s.eps[0].NumIndexedEdges() {
-		t.Fatalf("ep entries %d vs %d", s2.eps[0].NumIndexedEdges(), s.eps[0].NumIndexedEdges())
 	}
 }
 
@@ -158,7 +140,7 @@ func TestStoreCodecCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatalf("graph section should be intact at cut %d: %v", cut, err)
 		}
-		if _, err := DecodeStore(r, g2); err == nil {
+		if _, err := DecodeStore(r, g2, false); err == nil {
 			t.Fatalf("store truncation at %d accepted", cut)
 		}
 	}
@@ -180,5 +162,47 @@ func TestConfigCodecRoundTrip(t *testing.T) {
 		if got.String() != cfg.String() {
 			t.Fatalf("config %q vs %q", got, cfg)
 		}
+	}
+}
+
+// TestDiffStoresCatchesOneEntry: one changed primary entry or edge bound
+// makes DiffStores fail, so the parity gates built on it compare the
+// lists themselves, not only the definitions a checkpoint image holds.
+func TestDiffStoresCatchesOneEntry(t *testing.T) {
+	s := buildCodecStore(t)
+	for name, mutate := range map[string]func(p *Primary){
+		"fw nbr":     func(p *Primary) { p.fw.Nbrs()[0]++ },
+		"bw eid":     func(p *Primary) { p.bw.EIDs()[p.bw.Len()-1]++ },
+		"edge bound": func(p *Primary) { p.edgeBound++ },
+	} {
+		c, err := s.CloneRebuilt(s.Graph(), s.primary.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := DiffStores(s, c); err != nil {
+			t.Fatalf("fresh rebuild: %v", err)
+		}
+		mutate(c.primary)
+		if DiffStores(s, c) == nil {
+			t.Errorf("%s: change not detected", name)
+		}
+	}
+}
+
+// TestPartitionBucketSpaceBounded: a configuration whose partition levels
+// multiply past maxBucketsPerOwner — here 25 nested label levels, 3^25
+// buckets, which would overflow the uint32 bucket strides — is refused
+// with an error instead of panicking the build.
+func TestPartitionBucketSpaceBounded(t *testing.T) {
+	s := buildCodecStore(t)
+	var cfg Config
+	for i := 0; i < 25; i++ {
+		cfg.Partitions = append(cfg.Partitions, PartitionKey{Var: pred.VarAdj, Prop: pred.PropLabel})
+	}
+	if _, err := NewStore(s.Graph(), cfg); err == nil {
+		t.Fatal("NewStore accepted 3^25 buckets per owner")
+	}
+	if _, err := s.CreateVertexPartitioned(VPDef{View: View1Hop{Name: "Deep"}, Dirs: []Direction{FW}, Cfg: cfg}); err == nil {
+		t.Fatal("CreateVertexPartitioned accepted 3^25 buckets per owner")
 	}
 }

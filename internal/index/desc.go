@@ -144,9 +144,17 @@ type level struct {
 	cat *storage.Categorical
 }
 
+// maxBucketsPerOwner bounds the product of the partition levels'
+// cardinalities. Bucket addresses are uint32 products of per-level codes,
+// and each owner spends one offset per bucket, so a deeper product would
+// overflow the address arithmetic or allocate offsets for buckets that
+// can hold no edge.
+const maxBucketsPerOwner = 1 << 16
+
 // buildLevels resolves the categorical encodings for each partition key.
 func buildLevels(g *storage.Graph, keys []PartitionKey) ([]level, error) {
 	levels := make([]level, len(keys))
+	buckets := 1
 	for i, k := range keys {
 		var cat *storage.Categorical
 		var err error
@@ -164,6 +172,9 @@ func buildLevels(g *storage.Graph, keys []PartitionKey) ([]level, error) {
 		}
 		if err != nil {
 			return nil, err
+		}
+		if buckets *= cat.Cardinality; buckets > maxBucketsPerOwner {
+			return nil, fmt.Errorf("index: partition levels %v span more than %d buckets per owner", keys, maxBucketsPerOwner)
 		}
 		levels[i] = level{key: k, cat: cat}
 	}

@@ -184,8 +184,11 @@ func TestGraphStatsMemoParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := index.DecodeStore(r, rg)
+	reopened, err := index.DecodeStore(r, rg, false)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := index.DiffStores(inc, reopened); err != nil {
 		t.Fatal(err)
 	}
 	if got := requireFresh(t, "checkpoint reopen", reopened); !reflect.DeepEqual(got, incStats) {

@@ -1,12 +1,10 @@
 package index
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"github.com/aplusdb/aplus/internal/enc"
 	"github.com/aplusdb/aplus/internal/pred"
 	"github.com/aplusdb/aplus/internal/storage"
 )
@@ -172,15 +170,12 @@ func TestCloneIncrementalMatchesFullRebuild(t *testing.T) {
 }
 
 // compareStores requires two stores over equal graphs to be
-// indistinguishable: bit-identical checkpoint images and entry-for-entry
-// equal primary and secondary lists.
+// indistinguishable: element-for-element equal primaries and definitions
+// (DiffStores) and entry-for-entry equal primary and secondary lists.
 func compareStores(t *testing.T, key string, inc, full *Store) {
 	t.Helper()
-	wi, wf := enc.NewWriter(), enc.NewWriter()
-	EncodeStore(wi, inc)
-	EncodeStore(wf, full)
-	if !bytes.Equal(wi.Bytes(), wf.Bytes()) {
-		t.Fatalf("%s: checkpoint encodings diverge (%d vs %d bytes)", key, len(wi.Bytes()), len(wf.Bytes()))
+	if err := DiffStores(inc, full); err != nil {
+		t.Fatalf("%s: %v", key, err)
 	}
 	g := inc.Graph()
 	for _, dir := range []Direction{FW, BW} {

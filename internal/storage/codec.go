@@ -84,9 +84,14 @@ func encodeColumn(w *enc.Writer, c *Column) {
 	}
 }
 
-func decodeColumn(r *enc.Reader) (*Column, error) {
+// decodeColumn reads one column over a table of at most entities rows.
+func decodeColumn(r *enc.Reader, entities int) (*Column, error) {
 	c := &Column{Key: r.String(), Kind: Kind(r.U8())}
-	c.n = int(r.Uvarint())
+	n := r.Uvarint()
+	if n > uint64(entities) {
+		return nil, fmt.Errorf("storage: column %q covers %d rows of a %d-row table", c.Key, n, entities)
+	}
+	c.n = int(n)
 	c.set = r.U64s()
 	c.set.grow(c.n)
 	switch c.Kind {
@@ -115,6 +120,16 @@ func decodeColumn(r *enc.Reader) (*Column, error) {
 	if len(c.ints) != c.n && len(c.floats) != c.n && len(c.codes) != c.n {
 		return nil, fmt.Errorf("storage: column %q payload length mismatch", c.Key)
 	}
+	if c.Kind == KindString {
+		// Every set value is read through the dictionary (Dict.String,
+		// Dict.Rank), so a code past its end would panic the first read.
+		for i := 0; i < c.n; i++ {
+			if c.set.has(i) && int(c.codes[i]) >= c.dict.Len() {
+				return nil, fmt.Errorf("storage: column %q value %d has string code %d, dictionary holds %d",
+					c.Key, i, c.codes[i], c.dict.Len())
+			}
+		}
+	}
 	return c, nil
 }
 
@@ -125,11 +140,11 @@ func encodeColumns(w *enc.Writer, m map[string]*Column) {
 	}
 }
 
-func decodeColumns(r *enc.Reader) (map[string]*Column, error) {
+func decodeColumns(r *enc.Reader, entities int) (map[string]*Column, error) {
 	n := r.Len(1)
 	m := make(map[string]*Column, n)
 	for i := 0; i < n; i++ {
-		c, err := decodeColumn(r)
+		c, err := decodeColumn(r, entities)
 		if err != nil {
 			return nil, err
 		}
@@ -231,10 +246,10 @@ func DecodeGraph(r *enc.Reader) (*Graph, error) {
 	g.deleted.grow(len(g.src))
 	g.numDeleted = int(r.Uvarint())
 	var err error
-	if g.vertexProps, err = decodeColumns(r); err != nil {
+	if g.vertexProps, err = decodeColumns(r, len(g.vertexLabels)); err != nil {
 		return nil, err
 	}
-	if g.edgeProps, err = decodeColumns(r); err != nil {
+	if g.edgeProps, err = decodeColumns(r, len(g.src)); err != nil {
 		return nil, err
 	}
 	if r.Err() != nil {

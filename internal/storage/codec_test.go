@@ -128,3 +128,39 @@ func TestGraphCodecEmpty(t *testing.T) {
 		t.Fatal("empty graph roundtrip")
 	}
 }
+
+// TestColumnCodecRejectsStringCodeOutsideDict: a CRC-valid image whose
+// string code points past its column's dictionary — or any set value over
+// an empty dictionary — is rejected at decode instead of panicking the
+// first read of that value.
+func TestColumnCodecRejectsStringCodeOutsideDict(t *testing.T) {
+	for name, corrupt := range map[string]func(c *Column){
+		"code past dict": func(c *Column) { c.codes[1] = uint32(c.dict.Len()) },
+		"empty dict":     func(c *Column) { c.dict = NewDict(); c.codes[0] = 0 },
+	} {
+		c := NewColumn("city", KindString, 3)
+		if err := c.Set(0, Str("SF")); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Set(1, Str("BOS")); err != nil {
+			t.Fatal(err)
+		}
+		corrupt(c)
+		w := enc.NewWriter()
+		encodeColumn(w, c)
+		if _, err := decodeColumn(enc.NewReader(w.Bytes()), 3); err == nil {
+			t.Errorf("%s: decode accepted a code outside the dictionary", name)
+		}
+	}
+	// An unset slot's code is never read, so it is not checked.
+	c := NewColumn("city", KindString, 2)
+	if err := c.Set(0, Str("SF")); err != nil {
+		t.Fatal(err)
+	}
+	c.codes[1] = 99
+	w := enc.NewWriter()
+	encodeColumn(w, c)
+	if _, err := decodeColumn(enc.NewReader(w.Bytes()), 3); err != nil {
+		t.Fatalf("unset slot rejected: %v", err)
+	}
+}

@@ -1,12 +1,19 @@
 package wal
 
-// Checkpoint files. A checkpoint is a complete image of one immutable
-// snapshot whose delta overlay is empty: the graph, the frozen index store
-// (primary config + CSRs + secondary descriptors), and the record sequence
-// number it covers. Files are named checkpoint-<epoch> (zero-padded so
-// lexicographic order is epoch order), written via temp-file + fsync +
-// rename, and carry a whole-file CRC-32C so a damaged image is detected at
-// load and quarantined rather than trusted.
+// Checkpoint files. A checkpoint images one immutable snapshot whose delta
+// overlay is empty, keeping only what the graph cannot rebuild: the graph
+// itself, the primary index configuration, the secondary index
+// definitions, and the record sequence number it covers. Load rebuilds the
+// primary and every view from the decoded graph (index.DecodeStore), so no
+// checkpoint byte is trusted as an adjacency-list entry. Files are named
+// checkpoint-<epoch> (zero-padded so lexicographic order is epoch order),
+// written via temp-file + fsync + rename, and carry a whole-file CRC-32C so
+// a damaged image is detected at load and quarantined rather than trusted.
+//
+// Version 2 is written. Version 1 images, which also stored both primary
+// CSRs, are still read: the CSRs are skipped and rebuilt like any other.
+// An image of a later version is refused with an error but never
+// quarantined, since it is not damaged, only newer than this reader.
 
 import (
 	"fmt"
@@ -25,7 +32,7 @@ import (
 const (
 	ckptPrefix  = "checkpoint-"
 	ckptMagic   = 0x41504C43 // "APLC"
-	ckptVersion = 1
+	ckptVersion = 2
 )
 
 // ckptInfo identifies one on-disk checkpoint file.
@@ -78,9 +85,10 @@ func encodeCheckpoint(seq, epoch uint64, g *storage.Graph, st *index.Store) []by
 
 // loadCheckpoint reads and fully validates one checkpoint file. damaged
 // distinguishes a file whose *content* is bad (short, checksum or decode
-// failure — quarantine it and fall back) from a transient read error
-// (permissions, I/O): quarantining on the latter would hide a perfectly
-// good image forever, so such errors must propagate instead.
+// failure — quarantine it and fall back) from a read error (permissions,
+// I/O) or a version newer than this reader: quarantining on those would
+// hide a perfectly good image forever, so such errors must propagate
+// instead.
 func loadCheckpoint(fs vfs.FS, path string) (g *storage.Graph, st *index.Store, seq, epoch uint64, damaged bool, err error) {
 	data, err := fs.ReadFile(path)
 	if err != nil {
@@ -99,8 +107,12 @@ func loadCheckpoint(fs vfs.FS, path string) (g *storage.Graph, st *index.Store, 
 	if r.U32() != ckptMagic {
 		return nil, nil, 0, 0, true, fmt.Errorf("wal: checkpoint %s has wrong magic", path)
 	}
-	if v := r.U8(); v != ckptVersion {
-		return nil, nil, 0, 0, true, fmt.Errorf("wal: checkpoint %s has unsupported version %d", path, v)
+	v := r.U8()
+	if v > ckptVersion {
+		return nil, nil, 0, 0, false, fmt.Errorf("wal: checkpoint %s has version %d, newer than the supported %d", path, v, ckptVersion)
+	}
+	if v == 0 {
+		return nil, nil, 0, 0, true, fmt.Errorf("wal: checkpoint %s has invalid version 0", path)
 	}
 	seq = r.Uvarint()
 	epoch = r.Uvarint()
@@ -108,7 +120,7 @@ func loadCheckpoint(fs vfs.FS, path string) (g *storage.Graph, st *index.Store, 
 	if err != nil {
 		return nil, nil, 0, 0, true, fmt.Errorf("wal: checkpoint %s: %w", path, err)
 	}
-	st, err = index.DecodeStore(r, g)
+	st, err = index.DecodeStore(r, g, v == 1)
 	if err != nil {
 		return nil, nil, 0, 0, true, fmt.Errorf("wal: checkpoint %s: %w", path, err)
 	}
